@@ -101,6 +101,13 @@ void CompletionModel::notify_head_started(Tick deadline) {
 void CompletionModel::invalidate_from(std::size_t pos) {
   valid_count_ = std::min(valid_count_, pos);
   cdf_valid_count_ = std::min(cdf_valid_count_, pos);
+  // A window at p reads queue positions [0, p + depth]: only those with
+  // p + depth >= pos can see the change.
+  const std::size_t first_window = pos - std::min(pos, window_depth_);
+  if (first_window < windows_.size()) {
+    std::fill(windows_.begin() + static_cast<std::ptrdiff_t>(first_window),
+              windows_.end(), std::nullopt);
+  }
   ++version_;
   ++chain_version_;
 }
@@ -287,6 +294,35 @@ double CompletionModel::tail_mean() {
   tail_mean_revision_ = chain_version_;
   tail_mean_valid_ = true;
   return tail_mean_;
+}
+
+double CompletionModel::dropped_window_sum(std::size_t pos,
+                                           std::size_t depth) {
+  assert(pos < machine_->queue.size());
+  const auto direct = [&] {
+    return window_chance_sum(predecessor(pos), *machine_, *tasks_, *pet_,
+                             pos + 1, pos + depth, options_.approx_pet,
+                             &workspace());
+  };
+  if (depth != window_depth_) {
+    std::fill(windows_.begin(), windows_.end(), std::nullopt);
+    window_depth_ = depth;
+  }
+  if (windows_.size() <= pos) windows_.resize(machine_->queue.size());
+  std::optional<double>& memo = windows_[pos];
+  if (memo.has_value()) {
+    const double value = *memo;
+    if (audit::due(audit_dropped_counter_)) {
+      // float-eq-ok: bit-identity audit is exact by design
+      if (value != direct()) {
+        audit::fail("dropped-window memo at position " + std::to_string(pos) +
+                    " diverged from window_chance_sum");
+      }
+    }
+    return value;
+  }
+  memo = direct();
+  return *memo;
 }
 
 double CompletionModel::instantaneous_robustness() {

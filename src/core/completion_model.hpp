@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "pet/pet_matrix.hpp"
@@ -115,6 +116,20 @@ class CompletionModel {
   /// skip machines whose queues they already examined in a previous
   /// mapping event.
   std::uint64_t revision() const { return version_; }
+
+  /// Eq. 8's drop term for pending position `pos`: the chances of success
+  /// of positions [pos + 1, pos + depth] (clamped to the tail) with the
+  /// chain re-rooted at predecessor(pos), i.e. with the task at `pos`
+  /// provisionally dropped (Eqs. 4–6). Exactly
+  ///   window_chance_sum(predecessor(pos), machine, tasks, pet,
+  ///                     pos + 1, pos + depth, approx_pet, &workspace)
+  /// memoised per position: the window reads only the chain below `pos`
+  /// and the tasks in [pos + 1, pos + depth], so invalidate_from(k) forgets
+  /// the entries at positions >= k - depth and every other entry returns
+  /// the double the same call produced from bitwise-identical inputs. The
+  /// chain keeps (bump_revision, the conditioned set_now keep) leave every
+  /// entry valid. A call with a different `depth` clears the memo.
+  double dropped_window_sum(std::size_t pos, std::size_t depth);
 
   /// Completion-time PMF of queue position `pos` (Eq. 1).
   const Pmf& completion(std::size_t pos);
@@ -266,12 +281,19 @@ class CompletionModel {
   std::uint64_t tail_mean_revision_ = 0;
   bool tail_mean_valid_ = false;
 
+  /// dropped_window_sum memo, one entry per queue position (empty until
+  /// computed) for window depth window_depth_ (0 before the first call).
+  /// Kept in step with the chain by invalidate_from, not by a revision.
+  std::vector<std::optional<double>> windows_;
+  std::size_t window_depth_ = 0;
+
   /// TASKDROP_AUDIT sampling counters, one per audited memo so a chatty
   /// site cannot starve the others (unused in normal builds, where the
   /// audit gates fold to constant false).
   std::uint64_t audit_chain_counter_ = 0;
   std::uint64_t audit_appended_counter_ = 0;
   std::uint64_t audit_tail_mean_counter_ = 0;
+  std::uint64_t audit_dropped_counter_ = 0;
 
   PmfWorkspace* shared_ws_ = nullptr;
   PmfWorkspace owned_ws_;
@@ -285,8 +307,9 @@ const Pmf& execution_pmf(const Task& task, MachineTypeId machine_type,
 /// Sum of the chances of success of queue positions [first, last] when their
 /// predecessor chain starts from `pred` — the window quantity of Eqs. 4–7.
 /// Positions index `machine.queue`; `last` is clamped to the queue tail.
-/// This is the "what-if" primitive shared by the proactive heuristic
-/// (provisional drop of one task, Eq. 8) and the optimal subset search.
+/// This is the "what-if" primitive behind the proactive heuristic's
+/// provisional drop of one task (Eq. 8), which reads it through
+/// CompletionModel::dropped_window_sum's per-position memo.
 /// When `ws` is given the provisional chain lives in ws->chain and the walk
 /// allocates nothing in steady state; `pred` must not alias ws->chain.
 double window_chance_sum(const Pmf& pred, const Machine& machine,

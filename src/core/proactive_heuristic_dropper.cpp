@@ -45,11 +45,8 @@ void ProactiveHeuristicDropper::run(SystemView& view, SchedulerOps& ops) {
 
       // R_drop = sum_{n=i+1}^{i+eta} p^(i)_nj: the same window, excluding
       // task i itself, with the chain re-rooted at i's predecessor
-      // (Eqs. 4–6).
-      const double drop_sum =
-          window_chance_sum(model.predecessor(pos), machine, *view.tasks,
-                            *view.pet, pos + 1, window_end, view.approx_pet,
-                            &ws_);
+      // (Eqs. 4–6). Memoised per position by the model.
+      const double drop_sum = model.dropped_window_sum(pos, eta);
 
       if (drop_sum > params_.beta * keep_sum) {
         ops.drop_queued_task(machine.id, pos);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "core/dropper.hpp"
-#include "prob/workspace.hpp"
 
 namespace taskdrop {
 
@@ -49,8 +48,6 @@ class ProactiveHeuristicDropper final : public Dropper {
   /// identical (no-drop) decision, so it is skipped — this is what keeps
   /// Fig. 4's every-mapping-event engagement cheap in steady state.
   std::vector<std::uint64_t> examined_versions_;
-  /// Scratch for the provisional-drop chains of Eqs. 4–6.
-  PmfWorkspace ws_;
 };
 
 }  // namespace taskdrop

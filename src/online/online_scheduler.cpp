@@ -69,12 +69,16 @@ TaskId OnlineScheduler::register_task(TaskTypeId type, Tick arrival,
   return task.id;
 }
 
-void OnlineScheduler::advance_clock(Tick t) {
+void OnlineScheduler::check_clock(Tick t) const {
   if (t < now_) {
     throw std::invalid_argument(
         "OnlineScheduler: clock must be monotone (got t=" + std::to_string(t) +
         " after now=" + std::to_string(now_) + ")");
   }
+}
+
+void OnlineScheduler::advance_clock(Tick t) {
+  check_clock(t);
   now_ = t;
   view_.now = t;
   // set_now early-returns when `now` is unchanged, so calling it on every
@@ -131,6 +135,9 @@ const std::vector<Decision>& OnlineScheduler::task_arrived(Tick t,
                                                            TaskTypeId type,
                                                            Tick deadline,
                                                            TaskId* out_id) {
+  // Reject a non-monotone clock before registering, so a refused arrival
+  // leaves the task table (and every later task id) untouched.
+  check_clock(t);
   const TaskId id = register_task(type, t, deadline);
   if (out_id != nullptr) *out_id = id;
   return task_arrived(t, id);

@@ -155,6 +155,8 @@ class OnlineScheduler final : public SchedulerOps {
   /// A new task arrived at `t` and asks for admission. Returns the
   /// decision stream of the triggered mapping event (valid until the next
   /// decision-returning callback). `out_id` receives the new task's id.
+  /// Throws std::invalid_argument, registering nothing, when `t` is
+  /// before now().
   const std::vector<Decision>& task_arrived(Tick t, TaskTypeId type,
                                             Tick deadline,
                                             TaskId* out_id = nullptr);
@@ -248,6 +250,8 @@ class OnlineScheduler final : public SchedulerOps {
   void downgrade_task(MachineId machine, std::size_t pos) override;
 
  private:
+  /// Throws std::invalid_argument when `t` is before now().
+  void check_clock(Tick t) const;
   void advance_clock(Tick t);
   /// True when the shedding valve (config_.shed) refuses this arrival.
   bool should_shed() const;

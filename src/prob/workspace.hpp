@@ -20,8 +20,10 @@ namespace taskdrop {
 ///
 /// A workspace is plain mutable scratch: it carries no results across calls
 /// and may be shared by any number of sequential users (the engine shares
-/// one across its per-machine completion models; each dropper owns one for
-/// its what-if chains). It must not be shared across threads.
+/// one across its per-machine completion models, which also walk the
+/// heuristic dropper's Eq. 8 windows in it; the optimal and approximate
+/// droppers each own one for their what-if chains). It must not be shared
+/// across threads.
 class PmfWorkspace {
  public:
   /// Dense accumulation buffer of `bins` zeros. Reuses capacity; the

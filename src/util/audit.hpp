@@ -10,8 +10,9 @@ namespace taskdrop::audit {
 /// cross-check themselves against direct recomputation at a sampled rate:
 ///
 ///   * CompletionModel: the incremental chain, the appended-distribution
-///     memo and the tail-mean memo versus from-scratch evaluation, bit for
-///     bit (the caches promise bit-identity, so the comparison is exact).
+///     memo, the tail-mean memo and the dropped-window (Eq. 8) memo versus
+///     from-scratch evaluation, bit for bit (the caches promise
+///     bit-identity, so the comparison is exact).
 ///   * Engine: BatchQueue link/size coherence and lazy expiry-heap coverage
 ///     after every sampled mapping event.
 ///

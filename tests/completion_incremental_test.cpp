@@ -5,8 +5,9 @@
 // These tests drive seeded random sequences of the engine's structural
 // mutations — append, drop, start, complete, time advance — against one
 // model that receives exactly the engine's minimal invalidation hints, and
-// require its chain to be *bitwise equal* to a from-scratch rebuild at
-// every step. Invariants of the underlying stochastic model (mass
+// require its chain — and the memoised Eq. 8 drop term at every pending
+// position — to be *bitwise equal* to a from-scratch rebuild at every
+// step. Invariants of the underlying stochastic model (mass
 // conservation, Eq. 2 bounds, append-probe consistency, deadline
 // monotonicity) ride along.
 #include "core/completion_model.hpp"
@@ -83,6 +84,29 @@ void expect_chain_bitwise_equal(CompletionModel& incremental,
   }
 }
 
+/// Eq. 8's memoised drop term at every pending position: bitwise equal to
+/// the rebuilt model's value (which has nothing memoised) and to a direct
+/// window walk from the incremental model's predecessor.
+void expect_windows_bitwise_equal(CompletionModel& incremental,
+                                  CompletionModel& rebuilt,
+                                  const ChainHarness& h, std::size_t eta,
+                                  const char* after) {
+  for (std::size_t pos = h.machine.first_pending_pos();
+       pos < h.machine.queue.size(); ++pos) {
+    const double memo = incremental.dropped_window_sum(pos, eta);
+    ASSERT_EQ(memo, rebuilt.dropped_window_sum(pos, eta))
+        << "dropped window diverged from rebuild at pos " << pos << " after "
+        << after;
+    ASSERT_EQ(memo, window_chance_sum(incremental.predecessor(pos), h.machine,
+                                      h.tasks, h.pet, pos + 1, pos + eta))
+        << "dropped window diverged from direct walk at pos " << pos
+        << " after " << after;
+  }
+}
+
+/// The window depth the suites query: 1 to 3, varied by seed.
+std::size_t eta_of(std::uint64_t seed) { return 1 + seed % 3; }
+
 class CompletionIncrementalTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -141,6 +165,7 @@ TEST_P(CompletionIncrementalTest, ChainMatchesFromScratchRebuild) {
 
     CompletionModel rebuilt = h.fresh_model(now);
     expect_chain_bitwise_equal(incremental, rebuilt, h.machine, what);
+    expect_windows_bitwise_equal(incremental, rebuilt, h, eta_of(seed), what);
 
     // Model invariants at every step: each slot's completion PMF carries
     // (sub-)unit mass, its chance respects Eq. 2's bounds, and the cached
@@ -226,10 +251,11 @@ INSTANTIATE_TEST_SUITE_P(SeededSequences, CompletionIncrementalTest,
 /// (with its conditioned keep) on advances — against two witnesses at every
 /// step: an identically-driven paranoid_rebuild model (every keep fast path
 /// disabled, i.e. the pre-refactor conservative invalidation) and a
-/// from-scratch rebuild. All three chains must be bitwise equal. Failures
-/// are modelled as the scheduler mutates state: the running task is killed
-/// and the queue sits idle across a time gap until a later start — exactly
-/// the regime whose blanket invalidate the keep replaces.
+/// from-scratch rebuild. All three chains, and all three models' memoised
+/// drop windows, must be bitwise equal. Failures are modelled as the
+/// scheduler mutates state: the running task is killed and the queue sits
+/// idle across a time gap until a later start — exactly the regime whose
+/// blanket invalidate the keep replaces.
 class ChainKeepTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
 
@@ -318,6 +344,8 @@ TEST_P(ChainKeepTest, KeepPathsMatchParanoidAndRebuild) {
     CompletionModel rebuilt = h.fresh_model(now, keep_options);
     expect_chain_bitwise_equal(kept, paranoid, h.machine, what);
     expect_chain_bitwise_equal(kept, rebuilt, h.machine, what);
+    expect_windows_bitwise_equal(kept, rebuilt, h, eta_of(seed), what);
+    expect_windows_bitwise_equal(paranoid, rebuilt, h, eta_of(seed), what);
   }
 }
 

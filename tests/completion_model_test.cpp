@@ -187,6 +187,35 @@ TEST(WindowChanceSum, MatchesModelChancesFromPredecessor) {
   EXPECT_NEAR(tail_actual, tail_expected, 1e-12);
 }
 
+TEST(CompletionModel, DroppedWindowSumTracksDepthAndMutations) {
+  // The memoised Eq. 8 drop term answers exactly like the direct window
+  // walk across depth changes (which clear the memo), a mid-queue drop
+  // (which forgets only the windows that can see it) and an append.
+  const PetMatrix pet = two_type_pet();
+  SystemSandbox sandbox(pet, {0}, 8, /*now=*/0);
+  for (int i = 0; i < 6; ++i) {
+    sandbox.enqueue(0, static_cast<TaskTypeId>(i % 2), Tick{3 + 2 * i});
+  }
+  CompletionModel& model = sandbox.model(0);
+  const Machine& machine = sandbox.machine(0);
+  const auto& tasks = *sandbox.view().tasks;
+  const auto expect_direct = [&](std::size_t depth) {
+    for (std::size_t pos = 0; pos < machine.queue.size(); ++pos) {
+      EXPECT_EQ(model.dropped_window_sum(pos, depth),
+                window_chance_sum(model.predecessor(pos), machine, tasks, pet,
+                                  pos + 1, pos + depth))
+          << "pos " << pos << ", depth " << depth;
+    }
+  };
+  expect_direct(2);
+  expect_direct(1);
+  expect_direct(2);
+  sandbox.drop_queued_task(0, 4);
+  expect_direct(2);
+  sandbox.enqueue(0, 1, 30);
+  expect_direct(2);
+}
+
 TEST(WindowChanceSum, ClampsLastToQueueTail) {
   const PetMatrix pet = two_type_pet();
   SystemSandbox sandbox(pet, {0}, 6, /*now=*/0);

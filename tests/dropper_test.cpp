@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/null_dropper.hpp"
 #include "core/sandbox.hpp"
+#include "sched/registry.hpp"
+#include "sim/engine.hpp"
 #include "test_util.hpp"
+#include "workload/generator.hpp"
+#include "workload/scenario.hpp"
 
 namespace taskdrop {
 namespace {
@@ -213,6 +220,105 @@ TEST(HeuristicDropper, MultiMachinePassCoversAllQueues) {
   EXPECT_EQ(sandbox.dropped.size(), 2u);
   EXPECT_EQ(sandbox.machine(0).queue.size(), 2u);
   EXPECT_EQ(sandbox.machine(1).queue.size(), 2u);
+}
+
+/// Reference for the memoised heuristic: the same single pass with a
+/// direct window_chance_sum walk per position (no memo) and its own
+/// examined-revision skip. The memoised dropper must match it decision for
+/// decision.
+class DirectWindowDropper final : public Dropper {
+ public:
+  std::string_view name() const override { return "DirectWindow"; }
+
+  void run(SystemView& view, SchedulerOps& ops) override {
+    const ProactiveHeuristicDropper::Params params;
+    const auto eta = static_cast<std::size_t>(params.effective_depth);
+    examined_.resize(view.machines->size(), ~std::uint64_t{0});
+    for (Machine& machine : *view.machines) {
+      CompletionModel& model =
+          (*view.models)[static_cast<std::size_t>(machine.id)];
+      auto& examined = examined_[static_cast<std::size_t>(machine.id)];
+      if (model.revision() == examined) continue;
+      std::size_t pos = machine.first_pending_pos();
+      while (pos + 1 < machine.queue.size()) {
+        const std::size_t window_end =
+            std::min(pos + eta, machine.queue.size() - 1);
+        double keep_sum = 0.0;
+        for (std::size_t n = pos; n <= window_end; ++n) {
+          keep_sum += model.chance(n);
+        }
+        const double drop_sum = window_chance_sum(
+            model.predecessor(pos), machine, *view.tasks, *view.pet, pos + 1,
+            window_end, view.approx_pet, &ws_);
+        if (drop_sum > params.beta * keep_sum) {
+          ops.drop_queued_task(machine.id, pos);
+        } else {
+          ++pos;
+        }
+      }
+      examined = model.revision();
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> examined_;
+  PmfWorkspace ws_;
+};
+
+/// Decision stream of one seeded, oversubscribed SpecHC engine trial (PAM
+/// mapper) with `dropper`.
+std::vector<Decision> trial_decisions(Dropper& dropper, std::uint64_t seed,
+                                      int queue_capacity, bool conditioned) {
+  const Scenario scenario = make_scenario(ScenarioKind::SpecHC, seed);
+  WorkloadConfig workload;
+  workload.n_tasks = 600;
+  workload.oversubscription = 6.0;
+  workload.seed = seed;
+  const Trace trace =
+      generate_trace(scenario.pet, scenario.machine_count(), workload);
+  auto mapper = make_mapper("PAM");
+  EngineConfig config;
+  config.queue_capacity = queue_capacity;
+  config.condition_running = conditioned;
+  config.exec_seed = seed + 1000;
+  Engine engine(scenario.pet, scenario.profile.machine_types, *mapper,
+                dropper, config);
+  ReplayLog log;
+  engine.set_replay_log(&log);
+  engine.run(trace);
+  return log.decisions;
+}
+
+TEST(HeuristicDropper, WindowMemoMatchesDirectWalkInEngineTrials) {
+  // Conditioned 24-deep queues are the regime where the memo answers most
+  // windows (the conditioned set_now keep bumps the revision without
+  // touching the chain); unconditioned 6-deep queues are the paper's.
+  struct Case {
+    int queue_capacity;
+    bool conditioned;
+  };
+  for (const Case c : {Case{24, true}, Case{6, false}}) {
+    for (const std::uint64_t seed : {3u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "capacity " << c.queue_capacity << ", conditioned "
+                   << c.conditioned << ", seed " << seed);
+      DirectWindowDropper direct;
+      ProactiveHeuristicDropper memoised;
+      const std::vector<Decision> expected =
+          trial_decisions(direct, seed, c.queue_capacity, c.conditioned);
+      const std::vector<Decision> actual =
+          trial_decisions(memoised, seed, c.queue_capacity, c.conditioned);
+      ASSERT_EQ(actual.size(), expected.size());
+      const auto proactive = std::count_if(
+          expected.begin(), expected.end(), [](const Decision& d) {
+            return d.kind == DecisionKind::DropProactive;
+          });
+      EXPECT_GT(proactive, 0) << "the trial never exercised Eq. 8";
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(actual[i], expected[i]) << "decision " << i;
+      }
+    }
+  }
 }
 
 TEST(NullDropper, NeverDropsAnything) {

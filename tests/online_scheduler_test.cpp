@@ -175,8 +175,11 @@ TEST(OnlineScheduler, ClockMustBeMonotone) {
   LiveFixture fx;
   fx.scheduler.advance(10);
   EXPECT_THROW(fx.scheduler.advance(9), std::invalid_argument);
+  const std::size_t tasks_before = fx.scheduler.task_count();
   EXPECT_THROW(fx.scheduler.task_arrived(5, 0, 100),
                std::invalid_argument);
+  // The rejected arrival registers nothing: later task ids do not shift.
+  EXPECT_EQ(fx.scheduler.task_count(), tasks_before);
   // Equal timestamps are fine (several events on one tick).
   EXPECT_NO_THROW(fx.scheduler.advance(10));
 }
