@@ -21,13 +21,13 @@ void machines_with_free_slot(const SystemView& view,
 }
 
 double expected_completion_mean(SystemView& view, MachineId machine,
-                                const Task& task) {
+                                TaskTypeId type) {
   const Machine& m = (*view.machines)[static_cast<std::size_t>(machine)];
   CompletionModel& model = (*view.models)[static_cast<std::size_t>(machine)];
   // tail_mean is memoised per machine revision, so a best-pair scan over a
   // deep candidate window costs one tail-PMF walk per *machine*, not one
   // per (task, machine) pair.
-  return model.tail_mean() + view.pet->mean_execution(task.type, m.type);
+  return model.tail_mean() + view.pet->mean_execution(type, m.type);
 }
 
 std::vector<CandidatePair> min_completion_pairs(
@@ -38,7 +38,7 @@ std::vector<CandidatePair> min_completion_pairs(
     const Task& task = view.task(id);
     CandidatePair best;
     for (MachineId m : free_machines) {
-      const double ect = expected_completion_mean(view, m, task);
+      const double ect = expected_completion_mean(view, m, task.type);
       if (best.machine < 0 || ect < best.expected_completion) {
         best = CandidatePair{id, m, ect};
       }

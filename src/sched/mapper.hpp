@@ -48,13 +48,13 @@ std::vector<MachineId> machines_with_free_slot(const SystemView& view);
 void machines_with_free_slot(const SystemView& view,
                              std::vector<MachineId>& out);
 
-/// Expected completion time of `task` if appended to `machine`'s queue:
-/// mean of the queue-tail completion PMF plus the mean execution time of
-/// the task type on that machine type (means are additive under
+/// Expected completion time of a task of `type` if appended to `machine`'s
+/// queue: mean of the queue-tail completion PMF plus the mean execution
+/// time of the task type on that machine type (means are additive under
 /// convolution). This is the "expected completion time" both phases of
 /// MinMin/MSD/PAM rank by.
 double expected_completion_mean(SystemView& view, MachineId machine,
-                                const Task& task);
+                                TaskTypeId type);
 
 /// Allocation-free range over the first `window` unmapped tasks — the
 /// candidate set every phase-1 scan walks, often several times per mapping

@@ -26,7 +26,7 @@ void OrderedMapper::map_tasks(SystemView& view, SchedulerOps& ops) {
     double best_completion = 0.0;
     for (MachineId m : free_machines) {
       const double ect = mapper_detail::expected_completion_mean(
-          view, m, view.task(best_task));
+          view, m, view.task(best_task).type);
       if (best_machine < 0 || ect < best_completion) {
         best_machine = m;
         best_completion = ect;

@@ -32,6 +32,12 @@ std::string param_context(const std::string& key) {
 
 std::unique_ptr<Mapper> make_mapper(const std::string& name,
                                     int candidate_window) {
+  // A window below 1 admits no candidate: every mapper would assign
+  // nothing and every task would expire unmapped.
+  if (candidate_window < 1) {
+    throw std::invalid_argument("mapper candidate window must be >= 1, got " +
+                                std::to_string(candidate_window));
+  }
   if (name == "MM" || name == "MinMin") {
     return std::make_unique<MinMinMapper>(candidate_window);
   }

@@ -14,7 +14,7 @@ namespace taskdrop {
 /// (alias "MinMin"), "MSD", "PAM", "FCFS", "SJF", "EDF". Extras provided by
 /// this repo: "PAMD" (PAM with batch-queue deferring re-enabled), "MaxMin",
 /// "MET", "RR". Case-sensitive; throws std::invalid_argument for unknown
-/// names.
+/// names and for a candidate window below 1.
 std::unique_ptr<Mapper> make_mapper(const std::string& name,
                                     int candidate_window = 256);
 

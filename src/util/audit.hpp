@@ -15,6 +15,9 @@ namespace taskdrop::audit {
 ///     bit-identity, so the comparison is exact).
 ///   * Engine: BatchQueue link/size coherence and lazy expiry-heap coverage
 ///     after every sampled mapping event.
+///   * PamMapper: a candidate the phase-2 floor pruned (skipped, or the
+///     first one after an early stop) is evaluated in full and must not
+///     beat the round's best pick.
 ///
 /// In normal builds `kEnabled` is false and every `due()` gate folds to a
 /// compile-time `false`, so the audit blocks vanish entirely — the hooks

@@ -427,5 +427,14 @@ TEST(RunExperiment, RejectsZeroTrials) {
   EXPECT_THROW(run_experiment(config), std::invalid_argument);
 }
 
+TEST(RunExperiment, RejectsZeroCandidateWindowOnCallingThread) {
+  // Two trials run on pool workers: a throw from one of them would
+  // std::terminate instead of reaching this EXPECT_THROW.
+  ExperimentConfig config;
+  config.trials = 2;
+  config.candidate_window = 0;
+  EXPECT_THROW(run_experiment(config), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace taskdrop
