@@ -77,6 +77,16 @@ void OnlineScheduler::check_clock(Tick t) const {
   }
 }
 
+Machine& OnlineScheduler::checked_machine(MachineId id, const char* callback) {
+  if (id < 0 || static_cast<std::size_t>(id) >= machines_.size()) {
+    throw std::invalid_argument(std::string("OnlineScheduler: ") + callback +
+                                " on machine " + std::to_string(id) +
+                                " outside the fleet of " +
+                                std::to_string(machines_.size()));
+  }
+  return machines_[static_cast<std::size_t>(id)];
+}
+
 void OnlineScheduler::advance_clock(Tick t) {
   check_clock(t);
   now_ = t;
@@ -169,8 +179,8 @@ const std::vector<Decision>& OnlineScheduler::task_arrived(Tick t,
 
 void OnlineScheduler::task_started(Tick t, MachineId machine_id, TaskId task_id,
                                    Tick duration) {
+  Machine& machine = checked_machine(machine_id, "task_started");
   advance_clock(t);
-  Machine& machine = machines_[static_cast<std::size_t>(machine_id)];
   assert(machine.up && "a down machine cannot start a task");
   assert(!machine.running && "machine already has a running task");
   assert(!machine.queue.empty() && machine.queue.front() == task_id &&
@@ -207,10 +217,17 @@ void OnlineScheduler::task_started(Tick t, MachineId machine_id, TaskId task_id,
 const std::vector<Decision>& OnlineScheduler::task_finished(Tick t,
                                                             MachineId
                                                                 machine_id) {
+  // Validated before the clock moves, so a rejected finish changes nothing.
+  // Finishing an idle machine used to pop an empty queue, and finishing one
+  // whose head was only offered a start marked that head finished.
+  Machine& machine = checked_machine(machine_id, "task_finished");
+  if (!machine.running) {
+    throw std::invalid_argument("OnlineScheduler: task_finished on machine " +
+                                std::to_string(machine_id) +
+                                ", which has no running task");
+  }
   advance_clock(t);
   decisions_.clear();
-  Machine& machine = machines_[static_cast<std::size_t>(machine_id)];
-  assert(machine.running && "no running task to finish");
   assert((machine.run_end == kNeverTick || machine.run_end == now_) &&
          "finish time disagrees with the announced duration");
   Task& task = tasks_[static_cast<std::size_t>(machine.queue.front())];
@@ -235,9 +252,9 @@ const std::vector<Decision>& OnlineScheduler::task_finished(Tick t,
 const std::vector<Decision>& OnlineScheduler::machine_down(Tick t,
                                                            MachineId
                                                                machine_id) {
+  Machine& machine = checked_machine(machine_id, "machine_down");
   advance_clock(t);
   decisions_.clear();
-  Machine& machine = machines_[static_cast<std::size_t>(machine_id)];
   assert(machine.up && "machine is already down");
   machine.up = false;
   start_offered_[static_cast<std::size_t>(machine_id)] = -1;
@@ -261,9 +278,9 @@ const std::vector<Decision>& OnlineScheduler::machine_down(Tick t,
 const std::vector<Decision>& OnlineScheduler::machine_up(Tick t,
                                                          MachineId
                                                              machine_id) {
+  Machine& machine = checked_machine(machine_id, "machine_up");
   advance_clock(t);
   decisions_.clear();
-  Machine& machine = machines_[static_cast<std::size_t>(machine_id)];
   assert(!machine.up && "machine is already up");
   machine.up = true;
   // Start offers for the recovered machine come out of the mapping event's

@@ -169,18 +169,24 @@ class OnlineScheduler final : public SchedulerOps {
   /// engine's sampled duration, recorded into Task::actual_execution and
   /// Machine::run_end); pass a negative value when unknown (live mode).
   /// Emits no decisions — a start is not a mapping event (section III).
+  /// Throws std::invalid_argument, changing nothing, when `machine` is
+  /// outside the fleet.
   void task_started(Tick t, MachineId machine, TaskId task,
                     Tick duration = -1);
 
   /// Machine `machine`'s running task finished at `t`. Returns the
   /// FinishOnTime/FinishLate record followed by the decisions of the
-  /// triggered mapping event.
+  /// triggered mapping event. Throws std::invalid_argument, changing
+  /// nothing (clock, decision list, tasks), when `machine` is outside the
+  /// fleet or has no running task.
   const std::vector<Decision>& task_finished(Tick t, MachineId machine);
 
   /// Machine `machine` went down at `t`: its running task (if any) is
   /// lost — partially executed time is still billed — and its queued
   /// tasks wait for recovery (mapped tasks cannot be remapped,
-  /// section III). Down machines accept no new assignments.
+  /// section III). Down machines accept no new assignments. Throws
+  /// std::invalid_argument, changing nothing, when `machine` is outside the
+  /// fleet; so does machine_up.
   const std::vector<Decision>& machine_down(Tick t, MachineId machine);
 
   /// Machine `machine` recovered at `t`.
@@ -252,6 +258,9 @@ class OnlineScheduler final : public SchedulerOps {
  private:
   /// Throws std::invalid_argument when `t` is before now().
   void check_clock(Tick t) const;
+  /// Machine `id`, or std::invalid_argument naming `callback` when the id
+  /// is outside the fleet.
+  Machine& checked_machine(MachineId id, const char* callback);
   void advance_clock(Tick t);
   /// True when the shedding valve (config_.shed) refuses this arrival.
   bool should_shed() const;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "prob/direct_kernel.hpp"
 #include "prob/fft.hpp"
 
 namespace taskdrop {
@@ -23,6 +24,24 @@ constexpr double kEps = 1e-12;
 inline void axpy(double* __restrict o, const double* __restrict x,
                  std::size_t n, double s) {
   for (std::size_t j = 0; j < n; ++j) o[j] += s * x[j];
+}
+
+/// acc[i + j] += rows[i] * x[j], each bin summing its terms in ascending i.
+/// From kRows rows up this is the register-blocked kernel, fed a padded
+/// copy of `x`; shorter calls add one row at a time and skip the copy.
+/// Both give the same bits (see direct_kernel.hpp).
+void accumulate_rows(double* acc, const double* rows, std::size_t nrows,
+                     const double* x, std::size_t nx, PmfWorkspace& ws) {
+  constexpr std::size_t kRows = direct_kernel::kRows;
+  if (nrows < kRows) {
+    for (std::size_t i = 0; i < nrows; ++i) {
+      if (rows[i] == 0.0) continue;  // float-eq-ok: exact-zero sparse skip
+      axpy(acc + i, x, nx, rows[i]);
+    }
+    return;
+  }
+  direct_kernel::selected()(acc, rows, nrows, ws.padded(x, nx, kRows - 1),
+                            nx);
 }
 
 /// o[j] = s * x[j], same aliasing contract as axpy.
@@ -96,15 +115,9 @@ void convolve_into(const Pmf& a, const Pmf& b, PmfWorkspace& ws, Pmf& out) {
     ws.fft.convolve(a.data(), a.size(), b.data(), b.size(), acc.data());
   } else {
     // Both inputs share the stride, so bin i of `a` against bin j of `b`
-    // lands exactly on bin i + j: the inner loop is a contiguous
-    // multiply-accumulate with no per-element lattice arithmetic.
-    const double* pb = b.data();
-    const std::size_t nb = b.size();
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const double pa = a.prob_at_index(i);
-      if (pa == 0.0) continue;  // float-eq-ok: exact-zero sparse skip
-      axpy(acc.data() + i, pb, nb, pa);
-    }
+    // lands exactly on bin i + j: a contiguous multiply-accumulate with no
+    // per-element lattice arithmetic.
+    accumulate_rows(acc.data(), a.data(), a.size(), b.data(), b.size(), ws);
   }
   publish(acc, lo, stride, out);
 }
@@ -191,11 +204,7 @@ void deadline_convolve_into(const Pmf& pred, const Pmf& exec, Tick deadline,
     // below adds on top, matching the direct path's accumulation.
     ws.fft.convolve(pred.data(), split, pe, ne, acc.data() + conv_base);
   } else {
-    for (std::size_t i = 0; i < split; ++i) {
-      const double pk = pred.prob_at_index(i);
-      if (pk == 0.0) continue;  // float-eq-ok: exact-zero sparse skip
-      axpy(acc.data() + conv_base + i, pe, ne, pk);
-    }
+    accumulate_rows(acc.data() + conv_base, pred.data(), split, pe, ne, ws);
   }
   const auto pass_base =
       static_cast<std::size_t>((pred.min_time() - lo) / stride);

@@ -9,16 +9,17 @@ namespace {
 
 constexpr double kPi = 3.141592653589793238462643383279502884;
 
-/// Measured on the BM_WideConvolve direct-vs-fft curve (Release, g++,
-/// x86-64, committed BENCH_micro.json): the vectorized direct kernel
-/// wins through 256x256 bins (15.6us vs 18.2us there), and the FFT wins
-/// from 512x512 up (1.6x there, 5.5x at 2048, 25x at 8192). The gate
-/// sits at the clear win, not break-even: mixed shapes like (256, 512)
-/// measure break-even too, and below-gate sizes keep the scalar
-/// kernels' bit-exact summation order for free. See the README
-/// "FFT crossover" table; re-measure with
-/// `micro_chain --benchmark_filter='BM_Wide'`.
-constexpr std::size_t kDefaultFftMinBins = 512;
+/// Measured on the BM_WideConvolve direct-vs-fft curve (Release, g++ 12,
+/// 4-vCPU Xeon VM with AVX2, five repetitions per size). Against the
+/// register-blocked direct kernel, 512x512 bins is a toss-up (the FFT won
+/// 3 of 5 repetitions in one run and lost the median 45us to 38us in
+/// another), and the FFT wins every repetition from 1024x1024 up (2.2x
+/// there, 2.7x at 2048, 10x at 8192). The gate sits at that clear win, not
+/// at break-even, and below-gate sizes keep the direct kernel's bit-exact
+/// summation order for free. See the README "FFT crossover" table;
+/// re-measure with
+/// `micro_chain --benchmark_filter='BM_Wide' --benchmark_repetitions=5`.
+constexpr std::size_t kDefaultFftMinBins = 1024;
 
 std::atomic<std::size_t> g_fft_min_bins{kDefaultFftMinBins};
 

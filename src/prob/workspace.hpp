@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -33,6 +34,16 @@ class PmfWorkspace {
     return acc_;
   }
 
+  /// Copy of x[0..n) with `pad` +0.0 bins on each side, for the direct
+  /// kernel's branch-free edge bins (see direct_kernel.hpp). Returns the
+  /// copy of x[0]; valid until the next padded() call. `x` must not point
+  /// into this buffer.
+  const double* padded(const double* x, std::size_t n, std::size_t pad) {
+    padded_.assign(n + 2 * pad, 0.0);
+    std::copy(x, x + n, padded_.data() + pad);
+    return padded_.data() + pad;
+  }
+
   /// Scratch chain PMF for iterated-convolution walks (window_chance_sum,
   /// the droppers' provisional chains). Kernels never touch it, so a chain
   /// held here may be passed as both input and output of the *_into calls.
@@ -45,6 +56,7 @@ class PmfWorkspace {
 
  private:
   std::vector<double> acc_;
+  std::vector<double> padded_;
 };
 
 }  // namespace taskdrop

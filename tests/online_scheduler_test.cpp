@@ -184,6 +184,49 @@ TEST(OnlineScheduler, ClockMustBeMonotone) {
   EXPECT_NO_THROW(fx.scheduler.advance(10));
 }
 
+TEST(OnlineScheduler, RejectsBadMachineCallbacks) {
+  LiveFixture fx;
+  // Finishing an idle machine is rejected and moves nothing, the clock
+  // included.
+  EXPECT_THROW(fx.scheduler.task_finished(3, 0), std::invalid_argument);
+  EXPECT_EQ(fx.scheduler.now(), 0);
+
+  // Machine 0's head has been offered a start, but not confirmed.
+  const auto& decisions = fx.scheduler.task_arrived(5, 0, 100);
+  const std::vector<Decision> offered = decisions;
+  ASSERT_EQ(kinds(offered),
+            (std::vector<DecisionKind>{DecisionKind::Assign,
+                                       DecisionKind::Start}));
+  const std::size_t tasks_before = fx.scheduler.task_count();
+  auto expect_unchanged = [&](const char* what) {
+    EXPECT_EQ(fx.scheduler.now(), 5) << what;
+    EXPECT_EQ(decisions, offered) << what;
+    EXPECT_EQ(fx.scheduler.task_count(), tasks_before) << what;
+    EXPECT_EQ(fx.scheduler.task(0).state, TaskState::Queued) << what;
+    EXPECT_FALSE(fx.scheduler.machine(0).running) << what;
+    EXPECT_TRUE(fx.scheduler.machine(0).up) << what;
+  };
+
+  EXPECT_THROW(fx.scheduler.task_finished(7, 0), std::invalid_argument);
+  expect_unchanged("finish of a pending head");
+  for (const MachineId bad : {MachineId{1}, MachineId{-1}}) {
+    EXPECT_THROW(fx.scheduler.task_finished(7, bad), std::invalid_argument);
+    expect_unchanged("task_finished outside the fleet");
+    EXPECT_THROW(fx.scheduler.task_started(7, bad, 0), std::invalid_argument);
+    expect_unchanged("task_started outside the fleet");
+    EXPECT_THROW(fx.scheduler.machine_down(7, bad), std::invalid_argument);
+    expect_unchanged("machine_down outside the fleet");
+    EXPECT_THROW(fx.scheduler.machine_up(7, bad), std::invalid_argument);
+    expect_unchanged("machine_up outside the fleet");
+  }
+
+  // The scheduler carries on as if the bad calls never happened.
+  fx.scheduler.task_started(6, 0, 0);
+  const auto& finished = fx.scheduler.task_finished(11, 0);
+  ASSERT_FALSE(finished.empty());
+  EXPECT_EQ(finished[0], (Decision{DecisionKind::FinishOnTime, 11, 0, 0}));
+}
+
 TEST(OnlineScheduler, RejectsBadConstruction) {
   const PetMatrix pet = deterministic_pet();
   auto mapper = make_mapper("FCFS");
