@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "prob/convolution.hpp"
 // layering-allow(fft-plan): the wide-PMF benches toggle the crossover gate
 // directly to measure direct-vs-FFT on the same inputs.
@@ -27,17 +27,17 @@ const Scenario& scenario() {
   return s;
 }
 
-std::unique_ptr<SystemSandbox> make_queue(
+std::unique_ptr<SystemState> make_queue(
     int depth, CompletionModel::Options options = {}) {
   const Scenario& scn = scenario();
-  auto sandbox = std::make_unique<SystemSandbox>(
+  auto system = std::make_unique<SystemState>(
       scn.pet, std::vector<MachineTypeId>{0}, depth + 2, /*now=*/0, options);
   const double mean = scn.pet.mean_overall();
   for (int i = 0; i < depth; ++i) {
-    sandbox->enqueue(0, static_cast<TaskTypeId>(i % scn.pet.task_type_count()),
-                     static_cast<Tick>(mean * (2.0 + i)));
+    system->enqueue(0, static_cast<TaskTypeId>(i % scn.pet.task_type_count()),
+                    static_cast<Tick>(mean * (2.0 + i)));
   }
-  return sandbox;
+  return system;
 }
 
 /// PAM's phase-1 probe against an already-cached deep tail. With the
@@ -45,12 +45,12 @@ std::unique_ptr<SystemSandbox> make_queue(
 /// memo lookup, independent of the tail PMF's support width.
 void BM_DeepChanceIfAppended(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  auto sandbox = make_queue(depth);
+  auto system = make_queue(depth);
   const auto deadline =
       static_cast<Tick>(scenario().pet.mean_overall() * (depth + 4.0));
-  sandbox->model(0).instantaneous_robustness();  // warm the chain cache
+  system->model(0).instantaneous_robustness();  // warm the chain cache
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sandbox->model(0).chance_if_appended(0, deadline));
+    benchmark::DoNotOptimize(system->model(0).chance_if_appended(0, deadline));
   }
 }
 BENCHMARK(BM_DeepChanceIfAppended)->RangeMultiplier(2)->Range(8, 64);
@@ -60,14 +60,14 @@ BENCHMARK(BM_DeepChanceIfAppended)->RangeMultiplier(2)->Range(8, 64);
 /// window on top of the cached saturated prefix; repeats are O(1).
 void BM_DeepAppendedScan(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  auto sandbox = make_queue(depth);
+  auto system = make_queue(depth);
   const double mean = scenario().pet.mean_overall();
-  sandbox->model(0).instantaneous_robustness();  // warm the chain cache
+  system->model(0).instantaneous_robustness();  // warm the chain cache
   const auto base = static_cast<Tick>(mean * depth);
   for (auto _ : state) {
     double sum = 0.0;
     for (Tick d = 0; d < 64; ++d) {
-      sum += sandbox->model(0).chance_if_appended(0, base + 3 * d);
+      sum += system->model(0).chance_if_appended(0, base + 3 * d);
     }
     benchmark::DoNotOptimize(sum);
   }
@@ -83,12 +83,12 @@ void BM_DeepIncrementalAppend(benchmark::State& state) {
       static_cast<Tick>(scenario().pet.mean_overall() * (depth + 4.0));
   for (auto _ : state) {
     state.PauseTiming();
-    auto sandbox = make_queue(depth);
-    sandbox->model(0).instantaneous_robustness();  // warm the chain cache
+    auto system = make_queue(depth);
+    system->model(0).instantaneous_robustness();  // warm the chain cache
     state.ResumeTiming();
-    sandbox->enqueue(0, 0, deadline);
+    system->enqueue(0, 0, deadline);
     benchmark::DoNotOptimize(
-        sandbox->model(0).chance(sandbox->machine(0).queue.size() - 1));
+        system->model(0).chance(system->machine(0).queue.size() - 1));
   }
 }
 BENCHMARK(BM_DeepIncrementalAppend)->RangeMultiplier(2)->Range(8, 64);
@@ -98,15 +98,15 @@ BENCHMARK(BM_DeepIncrementalAppend)->RangeMultiplier(2)->Range(8, 64);
 /// entirely inside a reused workspace.
 void BM_DeepWindowChance(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  auto sandbox = make_queue(depth);
-  CompletionModel& model = sandbox->model(0);
+  auto system = make_queue(depth);
+  CompletionModel& model = system->model(0);
   model.instantaneous_robustness();  // warm the chain cache
   const auto pos = static_cast<std::size_t>(depth / 2);
   PmfWorkspace ws;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        window_chance_sum(model.predecessor(pos), sandbox->machine(0),
-                          *sandbox->view().tasks, scenario().pet, pos + 1,
+        window_chance_sum(model.predecessor(pos), system->machine(0),
+                          *system->view().tasks, scenario().pet, pos + 1,
                           pos + 2, nullptr, &ws));
   }
 }
@@ -195,14 +195,14 @@ void BM_ConditionedAdvance(benchmark::State& state, bool paranoid) {
   options.paranoid_rebuild = paranoid;
   for (auto _ : state) {
     state.PauseTiming();
-    auto sandbox = make_queue(depth, options);
-    sandbox->set_running(0, 0);
-    sandbox->model(0).instantaneous_robustness();  // warm the chain cache
+    auto system = make_queue(depth, options);
+    system->set_running(0, 0);
+    system->model(0).instantaneous_robustness();  // warm the chain cache
     state.ResumeTiming();
     double sum = 0.0;
     for (Tick t = 1; t <= 32; ++t) {
-      sandbox->set_now(t);
-      sum += sandbox->model(0).instantaneous_robustness();
+      system->set_now(t);
+      sum += system->model(0).instantaneous_robustness();
     }
     benchmark::DoNotOptimize(sum);
   }
@@ -224,12 +224,12 @@ void BM_VolatileHeadStart(benchmark::State& state, bool paranoid) {
   options.paranoid_rebuild = paranoid;
   for (auto _ : state) {
     state.PauseTiming();
-    auto sandbox = make_queue(depth, options);
-    sandbox->model(0).instantaneous_robustness();  // warm the chain cache
+    auto system = make_queue(depth, options);
+    system->model(0).instantaneous_robustness();  // warm the chain cache
     state.ResumeTiming();
-    sandbox->set_running(0, 0);
+    system->set_running(0, 0);
     benchmark::DoNotOptimize(
-        sandbox->model(0).chance(static_cast<std::size_t>(depth) - 1));
+        system->model(0).chance(static_cast<std::size_t>(depth) - 1));
   }
 }
 BENCHMARK_CAPTURE(BM_VolatileHeadStart, keep, false)

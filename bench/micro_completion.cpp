@@ -6,7 +6,7 @@
 
 #include <memory>
 
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -18,24 +18,24 @@ const Scenario& scenario() {
   return s;
 }
 
-std::unique_ptr<SystemSandbox> make_queue(int depth) {
+std::unique_ptr<SystemState> make_queue(int depth) {
   const Scenario& scn = scenario();
-  auto sandbox = std::make_unique<SystemSandbox>(
+  auto system = std::make_unique<SystemState>(
       scn.pet, std::vector<MachineTypeId>{0}, depth + 2);
   const double mean = scn.pet.mean_overall();
   for (int i = 0; i < depth; ++i) {
-    sandbox->enqueue(0, static_cast<TaskTypeId>(i % scn.pet.task_type_count()),
-                     static_cast<Tick>(mean * (2.0 + i)));
+    system->enqueue(0, static_cast<TaskTypeId>(i % scn.pet.task_type_count()),
+                    static_cast<Tick>(mean * (2.0 + i)));
   }
-  return sandbox;
+  return system;
 }
 
 void BM_FullChainRecompute(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  auto sandbox = make_queue(depth);
+  auto system = make_queue(depth);
   for (auto _ : state) {
-    sandbox->model(0).invalidate_all();
-    benchmark::DoNotOptimize(sandbox->model(0).instantaneous_robustness());
+    system->model(0).invalidate_all();
+    benchmark::DoNotOptimize(system->model(0).instantaneous_robustness());
   }
 }
 BENCHMARK(BM_FullChainRecompute)->DenseRange(2, 8, 2);
@@ -46,27 +46,27 @@ void BM_IncrementalAppend(benchmark::State& state) {
   const auto deadline = static_cast<Tick>(scn.pet.mean_overall() * 12.0);
   for (auto _ : state) {
     state.PauseTiming();
-    auto sandbox = make_queue(depth);
+    auto system = make_queue(depth);
     // Warm the cache up to the current tail.
-    sandbox->model(0).instantaneous_robustness();
+    system->model(0).instantaneous_robustness();
     state.ResumeTiming();
     // The measured mutation: append + query the new tail only.
-    sandbox->enqueue(0, 0, deadline);
+    system->enqueue(0, 0, deadline);
     benchmark::DoNotOptimize(
-        sandbox->model(0).chance(sandbox->machine(0).queue.size() - 1));
+        system->model(0).chance(system->machine(0).queue.size() - 1));
   }
 }
 BENCHMARK(BM_IncrementalAppend)->DenseRange(2, 8, 2);
 
 void BM_ChanceIfAppended(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
-  auto sandbox = make_queue(depth);
+  auto system = make_queue(depth);
   const Scenario& scn = scenario();
   const auto deadline = static_cast<Tick>(scn.pet.mean_overall() * 12.0);
-  sandbox->model(0).instantaneous_robustness();  // warm cache
+  system->model(0).instantaneous_robustness();  // warm cache
   for (auto _ : state) {
     // PAM's phase-1 primitive: no PMF materialisation at all.
-    benchmark::DoNotOptimize(sandbox->model(0).chance_if_appended(0, deadline));
+    benchmark::DoNotOptimize(system->model(0).chance_if_appended(0, deadline));
   }
 }
 BENCHMARK(BM_ChanceIfAppended)->DenseRange(2, 8, 2);

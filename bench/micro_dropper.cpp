@@ -11,8 +11,8 @@
 
 #include "core/optimal_dropper.hpp"
 #include "core/proactive_heuristic_dropper.hpp"
-#include "core/sandbox.hpp"
 #include "core/threshold_dropper.hpp"
+#include "online/system_state.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -26,10 +26,10 @@ const Scenario& scenario() {
 
 /// Builds one machine whose queue holds `depth` tasks with deadlines tight
 /// enough that dropping decisions are non-trivial.
-std::unique_ptr<SystemSandbox> make_queue(
+std::unique_ptr<SystemState> make_queue(
     int depth, CompletionModel::Options options = {}) {
   const Scenario& scn = scenario();
-  auto sandbox = std::make_unique<SystemSandbox>(
+  auto system = std::make_unique<SystemState>(
       scn.pet, std::vector<MachineTypeId>{0}, /*queue_capacity=*/depth + 1,
       /*now=*/0, options);
   const double mean = scn.pet.mean_overall();
@@ -37,9 +37,9 @@ std::unique_ptr<SystemSandbox> make_queue(
     const auto type = static_cast<TaskTypeId>(i % scn.pet.task_type_count());
     const auto deadline =
         static_cast<Tick>(mean * (1.0 + 0.4 * static_cast<double>(i)));
-    sandbox->enqueue(0, type, deadline);
+    system->enqueue(0, type, deadline);
   }
-  return sandbox;
+  return system;
 }
 
 template <typename DropperT>
@@ -47,10 +47,10 @@ void run_dropper_bench(benchmark::State& state, DropperT& dropper) {
   const int depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    auto sandbox = make_queue(depth);
+    auto system = make_queue(depth);
     state.ResumeTiming();
-    dropper.run(sandbox->view(), *sandbox);
-    benchmark::DoNotOptimize(sandbox->dropped.size());
+    dropper.run(system->view(), *system);
+    benchmark::DoNotOptimize(system->dropped().size());
   }
 }
 
@@ -66,31 +66,31 @@ BENCHMARK(BM_HeuristicDropper)->DenseRange(2, 8);
 /// the whole queue. An iteration is one such set_now step plus the dropper
 /// pass it triggers. beta is large enough that no drop changes the queue,
 /// so after the untimed first pass every Eq. 8 window is a memo hit.
-/// BM_HeuristicDropper, which rebuilds its sandbox (and so an empty memo)
+/// BM_HeuristicDropper, which rebuilds its system (and so an empty memo)
 /// every iteration, is the control.
 void BM_HeuristicRewalk(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   CompletionModel::Options options;
   options.condition_running = true;
-  auto sandbox = make_queue(depth, options);
-  sandbox->set_running(0, /*run_start=*/0);
+  auto system = make_queue(depth, options);
+  system->set_running(0, /*run_start=*/0);
   ProactiveHeuristicDropper dropper(ProactiveHeuristicDropper::Params{2, 1e9});
-  dropper.run(sandbox->view(), *sandbox);  // fills the memo
+  dropper.run(system->view(), *system);  // fills the memo
   // Every step stays in [1, keep_below): the conditioned slot 0 strips
   // nothing there, so the chain is bitwise unchanged by each step.
-  const Tick keep_below = sandbox->model(0).completion(0).min_time();
-  if (!sandbox->dropped.empty() || keep_below < 3) {
+  const Tick keep_below = system->model(0).completion(0).min_time();
+  if (!system->dropped().empty() || keep_below < 3) {
     state.SkipWithError("setup must keep the queue and leave room to step");
     return;
   }
   Tick now = 0;
   for (auto _ : state) {
     now = now + 1 < keep_below ? now + 1 : 1;
-    sandbox->set_now(now);
-    dropper.run(sandbox->view(), *sandbox);
-    benchmark::DoNotOptimize(sandbox->dropped.size());
+    system->set_now(now);
+    dropper.run(system->view(), *system);
+    benchmark::DoNotOptimize(system->dropped().size());
   }
-  if (!sandbox->dropped.empty()) state.SkipWithError("a re-walk dropped");
+  if (!system->dropped().empty()) state.SkipWithError("a re-walk dropped");
 }
 BENCHMARK(BM_HeuristicRewalk)->Arg(8)->Arg(16)->Arg(24);
 

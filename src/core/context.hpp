@@ -32,9 +32,10 @@ struct SystemView {
   Task& task(TaskId id) const { return (*tasks)[static_cast<std::size_t>(id)]; }
 };
 
-/// Mutation interface implemented by the engine. Mappers and droppers act
-/// on the system exclusively through these operations, which keep the
-/// machine queues, task states and completion models consistent.
+/// Mutation interface implemented by SystemState (src/online). Mappers and
+/// droppers act on the system only through these operations, which keep
+/// queues, task states and completion models consistent and throw
+/// std::invalid_argument, changing nothing, on a broken precondition.
 class SchedulerOps {
  public:
   virtual ~SchedulerOps() = default;

@@ -40,6 +40,8 @@ struct ExperimentConfig {
   int exclude_head = 100;
   int exclude_tail = 100;
   int candidate_window = 256;
+
+  bool operator==(const ExperimentConfig&) const = default;
 };
 
 struct ExperimentResult {

@@ -509,45 +509,6 @@ std::vector<std::string> active_axes_of(const SweepSpec& spec) {
   return axes;
 }
 
-namespace {
-
-bool same_point(const SweepPoint& a, const SweepPoint& b) {
-  return a.scenario == b.scenario && a.level == b.level &&
-         a.mapper == b.mapper && a.dropper == b.dropper &&
-         a.gamma == b.gamma && a.capacity == b.capacity &&
-         a.engagement == b.engagement && a.conditioning == b.conditioning &&
-         a.failures == b.failures;
-}
-
-bool same_config(const ExperimentConfig& a, const ExperimentConfig& b) {
-  return a.scenario == b.scenario && a.mapper == b.mapper &&
-         a.dropper.kind == b.dropper.kind &&
-         a.dropper.effective_depth == b.dropper.effective_depth &&
-         a.dropper.beta == b.dropper.beta &&
-         a.dropper.base_threshold == b.dropper.base_threshold &&
-         a.dropper.adaptive_threshold == b.dropper.adaptive_threshold &&
-         a.engagement == b.engagement &&
-         a.condition_running == b.condition_running &&
-         a.workload.n_tasks == b.workload.n_tasks &&
-         a.workload.oversubscription == b.workload.oversubscription &&
-         a.workload.gamma == b.workload.gamma &&
-         a.workload.pattern == b.workload.pattern &&
-         a.queue_capacity == b.queue_capacity &&
-         a.failures.enabled == b.failures.enabled &&
-         a.failures.mean_time_between_failures ==
-             b.failures.mean_time_between_failures &&
-         a.failures.mean_time_to_repair == b.failures.mean_time_to_repair &&
-         a.approx.enabled == b.approx.enabled &&
-         a.approx.time_factor == b.approx.time_factor &&
-         a.approx.utility_weight == b.approx.utility_weight &&
-         a.trials == b.trials && a.seed == b.seed &&
-         a.exclude_head == b.exclude_head &&
-         a.exclude_tail == b.exclude_tail &&
-         a.candidate_window == b.candidate_window;
-}
-
-}  // namespace
-
 void ShardSpec::validate() const {
   if (count < 1) {
     throw std::invalid_argument("shard count must be >= 1, got " +
@@ -592,8 +553,8 @@ SpecMap canonical_spec_map(const SweepSpec& spec) {
       reparsed.to_map() == map ? expand(reparsed) : std::vector<SweepCell>{};
   bool canonical = recells.size() == cells.size();
   for (std::size_t c = 0; canonical && c < cells.size(); ++c) {
-    canonical = same_point(cells[c].point, recells[c].point) &&
-                same_config(cells[c].config, recells[c].config);
+    canonical = cells[c].point == recells[c].point &&
+                cells[c].config == recells[c].config;
   }
   if (!canonical) {
     throw std::invalid_argument(

@@ -117,6 +117,8 @@ struct SweepPoint {
   std::string engagement;
   std::string conditioning;
   std::string failures;
+
+  bool operator==(const SweepPoint&) const = default;
 };
 
 /// Label of one named axis ("scenario", "level", "mapper", "dropper",

@@ -69,13 +69,7 @@ struct Decision {
   /// batch queue).
   MachineId machine = -1;
 
-  friend bool operator==(const Decision& a, const Decision& b) {
-    return a.kind == b.kind && a.time == b.time && a.task == b.task &&
-           a.machine == b.machine;
-  }
-  friend bool operator!=(const Decision& a, const Decision& b) {
-    return !(a == b);
-  }
+  bool operator==(const Decision&) const = default;
 };
 
 /// One-line textual rendering, the record format of `taskdrop_cli serve`:

@@ -5,15 +5,11 @@
 #include <optional>
 #include <vector>
 
-#include "core/completion_model.hpp"
-#include "core/context.hpp"
 #include "core/dropper.hpp"
 #include "online/decision.hpp"
+#include "online/system_state.hpp"
 #include "pet/pet_matrix.hpp"
-#include "prob/workspace.hpp"
 #include "sched/mapper.hpp"
-#include "sim/batch_queue.hpp"
-#include "sim/expiry_heap.hpp"
 #include "sim/machine.hpp"
 #include "sim/task.hpp"
 
@@ -31,6 +27,8 @@ struct ApproxModel {
   bool enabled = false;
   double time_factor = 0.5;
   double utility_weight = 0.5;
+
+  bool operator==(const ApproxModel&) const = default;
 };
 
 /// Overload-shedding admission valve. Both watermarks default to 0 =
@@ -122,16 +120,19 @@ struct OnlineConfig {
 /// named is dropped or the machine goes down first, the offer lapses and a
 /// later mapping event re-evaluates.
 ///
-/// The clock is monotone: callbacks must carry non-decreasing `t`
-/// (std::invalid_argument otherwise). The scheduler sees only execution
-/// *distributions* (the PET); ground-truth durations stay on the
-/// environment side — the optional `duration` of task_started is recorded
-/// for the environment's own bookkeeping (SimResult) and never read by a
-/// decision path.
+/// The scheduler keeps only policy: the monotone clock, shedding, the
+/// Fig. 4 order of a mapping event, start offers and counters. Every
+/// change to tasks, queues and chains is a SystemState mutation, which
+/// the mapper and dropper also act through. An impossible event throws
+/// std::invalid_argument and changes nothing — clock, decision list and
+/// task table included. The scheduler sees only execution *distributions*
+/// (the PET); the optional `duration` of task_started is recorded for the
+/// environment's own bookkeeping (SimResult) and never read by a decision
+/// path.
 ///
 /// sim/Engine drives this same kernel stack (one driver among others), so
 /// the existing figure suites lock the decision stream down bit for bit.
-class OnlineScheduler final : public SchedulerOps {
+class OnlineScheduler final {
  public:
   /// `pet` must outlive the scheduler. `machine_types[i]` is machine i's
   /// type (an index into the PET matrix's machine axis). Throws
@@ -144,23 +145,28 @@ class OnlineScheduler final : public SchedulerOps {
   OnlineScheduler& operator=(const OnlineScheduler&) = delete;
 
   /// Pre-sizes task storage (an optimisation; storage grows on demand).
-  void reserve_tasks(std::size_t task_count);
+  void reserve_tasks(std::size_t task_count) {
+    state_.reserve_tasks(task_count);
+  }
 
   /// Registers a task without announcing its arrival — storage-only, no
   /// clock advance, no decisions. Lets a driver that knows its workload up
   /// front (the sim engine, a trace replayer) pin task ids to trace
-  /// indices. Ids are assigned sequentially from 0.
-  TaskId register_task(TaskTypeId type, Tick arrival, Tick deadline);
+  /// indices. Ids are assigned sequentially from 0. Throws when `type` is
+  /// outside the PET.
+  TaskId register_task(TaskTypeId type, Tick arrival, Tick deadline) {
+    return state_.register_task(type, arrival, deadline);
+  }
 
   /// A new task arrived at `t` and asks for admission. Returns the
   /// decision stream of the triggered mapping event (valid until the next
   /// decision-returning callback). `out_id` receives the new task's id.
-  /// Throws std::invalid_argument, registering nothing, when `t` is
-  /// before now().
   const std::vector<Decision>& task_arrived(Tick t, TaskTypeId type,
                                             Tick deadline,
                                             TaskId* out_id = nullptr);
-  /// Arrival of a pre-registered task (see register_task).
+  /// Arrival of a pre-registered task (see register_task). Throws for an
+  /// unknown task, one that already arrived, or an announcement before the
+  /// task's registered arrival.
   const std::vector<Decision>& task_arrived(Tick t, TaskId task);
 
   /// Confirms a Start decision: machine `machine` began executing its
@@ -169,44 +175,38 @@ class OnlineScheduler final : public SchedulerOps {
   /// engine's sampled duration, recorded into Task::actual_execution and
   /// Machine::run_end); pass a negative value when unknown (live mode).
   /// Emits no decisions — a start is not a mapping event (section III).
-  /// Throws std::invalid_argument, changing nothing, when `machine` is
-  /// outside the fleet.
+  /// Throws for a down or busy machine, a task that is not its queue head,
+  /// or a head at or past its deadline (it must be dropped, not started).
   void task_started(Tick t, MachineId machine, TaskId task,
                     Tick duration = -1);
 
   /// Machine `machine`'s running task finished at `t`. Returns the
   /// FinishOnTime/FinishLate record followed by the decisions of the
-  /// triggered mapping event. Throws std::invalid_argument, changing
-  /// nothing (clock, decision list, tasks), when `machine` is outside the
-  /// fleet or has no running task.
+  /// triggered mapping event. Throws when the machine runs no task, or
+  /// when `t` disagrees with the duration announced at its start.
   const std::vector<Decision>& task_finished(Tick t, MachineId machine);
 
   /// Machine `machine` went down at `t`: its running task (if any) is
   /// lost — partially executed time is still billed — and its queued
   /// tasks wait for recovery (mapped tasks cannot be remapped,
-  /// section III). Down machines accept no new assignments. Throws
-  /// std::invalid_argument, changing nothing, when `machine` is outside the
-  /// fleet; so does machine_up.
+  /// section III). Down machines accept no new assignments. Throws when
+  /// the machine is already down.
   const std::vector<Decision>& machine_down(Tick t, MachineId machine);
 
-  /// Machine `machine` recovered at `t`.
+  /// Machine `machine` recovered at `t`. Throws when it is already up.
   const std::vector<Decision>& machine_up(Tick t, MachineId machine);
 
   /// Time advanced to `t` with no task/machine event: runs a mapping event
   /// so deadline expiries and deferred mappings are reconsidered.
   const std::vector<Decision>& advance(Tick t);
 
-  Tick now() const { return now_; }
-  std::size_t task_count() const { return tasks_.size(); }
-  const Task& task(TaskId id) const {
-    return tasks_[static_cast<std::size_t>(id)];
-  }
-  const std::vector<Machine>& machines() const { return machines_; }
-  const Machine& machine(MachineId id) const {
-    return machines_[static_cast<std::size_t>(id)];
-  }
+  Tick now() const { return state_.now(); }
+  std::size_t task_count() const { return state_.task_count(); }
+  const Task& task(TaskId id) const { return state_.task(id); }
+  const std::vector<Machine>& machines() const { return state_.machines(); }
+  const Machine& machine(MachineId id) const { return state_.machine(id); }
   /// Unmapped tasks currently waiting in the batch queue.
-  std::size_t unmapped_count() const { return batch_.size(); }
+  std::size_t unmapped_count() const { return state_.batch().size(); }
   /// Earliest deadline among unmapped tasks; kNeverTick when none. The
   /// engine schedules its drain-time wakeup from this.
   Tick earliest_unmapped_deadline() const;
@@ -225,7 +225,7 @@ class OnlineScheduler final : public SchedulerOps {
 
   /// Moves the task table out (the engine harvests SimResult from it).
   /// The scheduler must not be used afterwards, only destroyed.
-  std::vector<Task> take_tasks() { return std::move(tasks_); }
+  std::vector<Task> take_tasks() { return state_.take_tasks(); }
 
   /// Writes a deterministic, versioned text serialization of the full
   /// scheduler state (task table, machine queues, batch queue, advisory
@@ -248,55 +248,27 @@ class OnlineScheduler final : public SchedulerOps {
   /// Implemented in snapshot.cpp.
   void restore(std::istream& in);
 
-  // SchedulerOps — the mutation interface the mapper and dropper act
-  // through during a mapping event. Public for parity with SystemSandbox;
-  // calling these outside a mapping event breaks the decision stream.
-  void assign_task(TaskId task, MachineId machine) override;
-  void drop_queued_task(MachineId machine, std::size_t pos) override;
-  void downgrade_task(MachineId machine, std::size_t pos) override;
-
  private:
   /// Throws std::invalid_argument when `t` is before now().
   void check_clock(Tick t) const;
-  /// Machine `id`, or std::invalid_argument naming `callback` when the id
-  /// is outside the fleet.
-  Machine& checked_machine(MachineId id, const char* callback);
-  void advance_clock(Tick t);
   /// True when the shedding valve (config_.shed) refuses this arrival.
   bool should_shed() const;
-  void mapping_event();
+  /// Runs the Fig. 4 steps; returns the event's decision stream.
+  const std::vector<Decision>& mapping_event();
   /// Drops expired pending tasks (machine queues and batch queue); returns
   /// true when at least one task was dropped.
   bool reactive_drop_pass();
   /// End of the mapping event: reactively drop late queue heads, then
   /// offer a Start for every up, idle machine with a startable head.
   void start_pass();
-  void emit(DecisionKind kind, TaskId task, MachineId machine);
-  /// TASKDROP_AUDIT cross-check (sampled from mapping_event): BatchQueue
-  /// link/size/state coherence and expiry-heap coverage of the batch.
-  void audit_batch_coherence() const;
 
-  const PetMatrix& pet_;
   Mapper& mapper_;
   Dropper& dropper_;
   OnlineConfig config_;
   /// Time-scaled PET for approximate-mode tasks (approx extension only).
+  /// Declared before state_, whose models point at it.
   std::optional<PetMatrix> approx_pet_;
-
-  Tick now_ = 0;
-  std::vector<Task> tasks_;
-  std::vector<Machine> machines_;
-  /// Convolution scratch shared by every per-machine completion model (the
-  /// scheduler is single-threaded, and one buffer keeps the hot
-  /// chain-rebuild loop in cache across machines).
-  PmfWorkspace model_ws_;
-  std::vector<CompletionModel> models_;
-  BatchQueue batch_;
-  /// Unmapped tasks ordered by deadline (lazy deletion: entries whose task
-  /// already left the batch are skipped on pop), so the reactive pass only
-  /// ever touches tasks that actually expired.
-  ExpiryHeap batch_expiry_;
-  SystemView view_;
+  SystemState state_;
   /// Unconfirmed Start offer per machine (-1: none). Prevents duplicate
   /// Start decisions while the environment has not reported the start yet;
   /// lapses automatically when the offered head leaves the queue.
@@ -305,8 +277,6 @@ class OnlineScheduler final : public SchedulerOps {
   long long mapping_events_ = 0;
   long long dropper_invocations_ = 0;
   long long shed_count_ = 0;
-  /// Decision stream of the current callback (reused storage).
-  std::vector<Decision> decisions_;
   /// Sampling counter for the TASKDROP_AUDIT coherence pass (unused in
   /// normal builds, where the audit gate folds to constant false).
   std::uint64_t audit_counter_ = 0;

@@ -168,8 +168,8 @@ void OnlineScheduler::snapshot(std::ostream& out) const {
       << format_double(config_.approx.utility_weight)
       << " shed_total=" << config_.shed.total_pending_watermark
       << " shed_machine=" << config_.shed.machine_backlog_watermark
-      << " pet=" << pet_fingerprint(pet_) << '\n';
-  out << "clock now=" << now_ << '\n';
+      << " pet=" << pet_fingerprint(state_.pet()) << '\n';
+  out << "clock now=" << state_.now() << '\n';
   out << "flags deadline_miss_pending=" << (deadline_miss_pending_ ? 1 : 0)
       << '\n';
   out << "counters mapping_events=" << mapping_events_
@@ -179,8 +179,8 @@ void OnlineScheduler::snapshot(std::ostream& out) const {
   out << "mapper name=" << mapper_.name() << " state="
       << (mapper_state.empty() ? "-" : mapper_state) << '\n';
 
-  out << "tasks n=" << tasks_.size() << '\n';
-  for (const Task& task : tasks_) {
+  out << "tasks n=" << state_.task_count() << '\n';
+  for (const Task& task : state_.tasks()) {
     out << "T " << task.id << ' ' << task.type << ' ' << task.arrival << ' '
         << task.deadline << ' ' << to_string(task.state) << ' '
         << (task.approximate ? 1 : 0) << ' ' << task.machine << ' '
@@ -188,8 +188,8 @@ void OnlineScheduler::snapshot(std::ostream& out) const {
         << task.drop_time << ' ' << task.actual_execution << '\n';
   }
 
-  out << "machines n=" << machines_.size() << '\n';
-  for (const Machine& machine : machines_) {
+  out << "machines n=" << state_.machines().size() << '\n';
+  for (const Machine& machine : state_.machines()) {
     out << "M " << machine.id << ' ' << machine.type << ' '
         << (machine.up ? 1 : 0) << ' ' << (machine.running ? 1 : 0) << ' '
         << machine.run_start << ' ' << machine.run_end << ' '
@@ -200,15 +200,15 @@ void OnlineScheduler::snapshot(std::ostream& out) const {
     out << '\n';
   }
 
-  out << "batch n=" << batch_.size();
-  for (const TaskId id : batch_) out << ' ' << id;
+  out << "batch n=" << state_.batch().size();
+  for (const TaskId id : state_.batch()) out << ' ' << id;
   out << '\n';
   out << "end " << kMagic << '\n';
 }
 
 void OnlineScheduler::restore(std::istream& in) {
-  check(tasks_.empty() && now_ == 0 && mapping_events_ == 0 &&
-            batch_.empty() && decisions_.empty(),
+  // Every callback but register_task runs a mapping event or needs one.
+  check(state_.task_count() == 0 && mapping_events_ == 0,
         "restore target must be a freshly constructed scheduler");
 
   // Header.
@@ -256,7 +256,7 @@ void OnlineScheduler::restore(std::istream& in) {
               config_.shed.machine_backlog_watermark,
           "shed machine watermark differs from the snapshotted config");
     check(parse_u64("pet fingerprint", expect_kv(line, "pet")) ==
-              pet_fingerprint(pet_),
+              pet_fingerprint(state_.pet()),
           "PET fingerprint differs — snapshot was taken against a "
           "different scenario");
     expect_line_done(line);
@@ -295,6 +295,12 @@ void OnlineScheduler::restore(std::istream& in) {
     expect_line_done(line);
   }
 
+  // Task table, machines and batch are parsed into local tables and
+  // handed to the state at the end.
+  std::vector<Task> tasks;
+  std::vector<Machine> machines = state_.machines();
+  std::vector<TaskId> batch;
+
   // Task table.
   {
     std::istringstream line(next_line(in, "tasks"));
@@ -302,7 +308,7 @@ void OnlineScheduler::restore(std::istream& in) {
     const long long count = parse_kv_ll(line, "n");
     check(count >= 0, "negative task count");
     expect_line_done(line);
-    tasks_.reserve(static_cast<std::size_t>(count));
+    tasks.reserve(static_cast<std::size_t>(count));
     for (long long i = 0; i < count; ++i) {
       std::istringstream task_line(next_line(in, "task table"));
       expect_literal(task_line, "T");
@@ -311,7 +317,7 @@ void OnlineScheduler::restore(std::istream& in) {
       check(task.id == i, "task ids must be dense and ascending");
       task.type = static_cast<TaskTypeId>(
           parse_ll("task type", next_token(task_line, "task type")));
-      check(task.type >= 0 && task.type < pet_.task_type_count(),
+      check(task.type >= 0 && task.type < state_.pet().task_type_count(),
             "task type out of range for this PET");
       task.arrival = parse_ll("arrival", next_token(task_line, "arrival"));
       task.deadline = parse_ll("deadline", next_token(task_line, "deadline"));
@@ -323,7 +329,7 @@ void OnlineScheduler::restore(std::istream& in) {
       task.machine = static_cast<MachineId>(
           parse_ll("task machine", next_token(task_line, "task machine")));
       check(task.machine >= -1 &&
-                task.machine < static_cast<MachineId>(machines_.size()),
+                task.machine < static_cast<MachineId>(machines.size()),
             "task machine out of range");
       task.start_time =
           parse_ll("start time", next_token(task_line, "start time"));
@@ -334,7 +340,7 @@ void OnlineScheduler::restore(std::istream& in) {
       task.actual_execution = parse_ll(
           "actual execution", next_token(task_line, "actual execution"));
       expect_line_done(task_line);
-      tasks_.push_back(task);
+      tasks.push_back(task);
     }
   }
 
@@ -343,13 +349,13 @@ void OnlineScheduler::restore(std::istream& in) {
     std::istringstream line(next_line(in, "machines"));
     expect_literal(line, "machines");
     const long long count = parse_kv_ll(line, "n");
-    check(count == static_cast<long long>(machines_.size()),
+    check(count == static_cast<long long>(machines.size()),
           "machine count differs from the constructed fleet");
     expect_line_done(line);
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
+    for (std::size_t m = 0; m < machines.size(); ++m) {
       std::istringstream machine_line(next_line(in, "machine table"));
       expect_literal(machine_line, "M");
-      Machine& machine = machines_[m];
+      Machine& machine = machines[m];
       check(parse_ll("machine id", next_token(machine_line, "machine id")) ==
                 machine.id,
             "machine ids must be dense and ascending");
@@ -374,7 +380,7 @@ void OnlineScheduler::restore(std::istream& in) {
           parse_ll("busy_ticks", next_token(machine_line, "busy_ticks"));
       const TaskId offer = parse_ll(
           "start offer", next_token(machine_line, "start offer"));
-      check(offer >= -1 && offer < static_cast<TaskId>(tasks_.size()),
+      check(offer >= -1 && offer < static_cast<TaskId>(tasks.size()),
             "start offer out of range");
       start_offered_[m] = offer;
       expect_literal(machine_line, "q");
@@ -386,9 +392,9 @@ void OnlineScheduler::restore(std::istream& in) {
       for (long long k = 0; k < queued; ++k) {
         const TaskId id = parse_ll(
             "queued task id", next_token(machine_line, "queued task id"));
-        check(id >= 0 && id < static_cast<TaskId>(tasks_.size()),
+        check(id >= 0 && id < static_cast<TaskId>(tasks.size()),
               "queued task id out of range");
-        const Task& task = tasks_[static_cast<std::size_t>(id)];
+        const Task& task = tasks[static_cast<std::size_t>(id)];
         check(task.machine == machine.id,
               "queued task does not reference its machine");
         check(task.state == (machine.running && k == 0 ? TaskState::Running
@@ -402,28 +408,21 @@ void OnlineScheduler::restore(std::istream& in) {
     }
   }
 
-  // Batch queue (arrival order) + the expiry heap derived from it. Stale
-  // lazy-deletion entries of the original heap are dropped: they are
-  // skipped unobservably on pop, so the rebuilt heap reproduces the exact
-  // ExpireUnmapped pop order (the multiset of live entries determines it).
+  // Batch queue, in arrival order (the state rebuilds its expiry heap).
   {
     std::istringstream line(next_line(in, "batch"));
     expect_literal(line, "batch");
     const long long count = parse_kv_ll(line, "n");
-    check(count >= 0 && count <= static_cast<long long>(tasks_.size()),
+    check(count >= 0 && count <= static_cast<long long>(tasks.size()),
           "batch size out of range");
-    batch_.reset(tasks_.size());
-    batch_expiry_.clear();
     for (long long i = 0; i < count; ++i) {
       const TaskId id =
           parse_ll("batch task id", next_token(line, "batch task id"));
-      check(id >= 0 && id < static_cast<TaskId>(tasks_.size()),
+      check(id >= 0 && id < static_cast<TaskId>(tasks.size()),
             "batch task id out of range");
-      const Task& task = tasks_[static_cast<std::size_t>(id)];
-      check(task.state == TaskState::Unmapped,
+      check(tasks[static_cast<std::size_t>(id)].state == TaskState::Unmapped,
             "batch task is not in state unmapped");
-      batch_.push_back(id);
-      batch_expiry_.push(task.deadline, id);
+      batch.push_back(id);
     }
     expect_line_done(line);
   }
@@ -438,12 +437,7 @@ void OnlineScheduler::restore(std::istream& in) {
   // chains, CDF views and revision-keyed memos rebuild lazily from the
   // logical state, bit-identically to the incrementally maintained
   // originals.
-  now_ = restored_now;
-  view_.now = restored_now;
-  for (CompletionModel& model : models_) {
-    model.set_now(restored_now);
-    model.invalidate_all();
-  }
+  state_.restore(std::move(tasks), machines, batch, restored_now);
 }
 
 std::string snapshot_to_string(const OnlineScheduler& scheduler) {

@@ -68,6 +68,8 @@ struct DropperConfig {
 
   /// The registry name this config round-trips through ("heuristic", ...).
   std::string name() const;
+
+  bool operator==(const DropperConfig&) const = default;
 };
 
 /// All registered dropper names, in the order the paper introduces them.

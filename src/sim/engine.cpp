@@ -34,10 +34,7 @@ Engine::Engine(const PetMatrix& pet, std::vector<MachineTypeId> machine_types,
       dropper_(dropper),
       config_(config),
       exec_rng_(config.exec_seed),
-      failure_rng_(config.failures.seed) {
-  assert(!machine_type_of_.empty());
-  assert(config_.queue_capacity >= 1);
-}
+      failure_rng_(config.failures.seed) {}
 
 void Engine::reset(const Trace& trace) {
   live_tasks_ = static_cast<long long>(trace.size());

@@ -27,6 +27,8 @@ struct FailureModel {
   /// Mean repair duration, ticks.
   double mean_time_to_repair = 3000.0;
   std::uint64_t seed = 0xFA11;
+
+  bool operator==(const FailureModel&) const = default;
 };
 
 /// Engine tuning knobs. Defaults mirror the paper's evaluation setup.
@@ -65,7 +67,8 @@ struct EngineConfig {
 class Engine final {
  public:
   /// `pet` must outlive the engine. `machine_types[i]` is machine i's type
-  /// (an index into the PET matrix's machine axis).
+  /// (an index into the PET matrix's machine axis). run() throws
+  /// std::invalid_argument on an empty fleet or a capacity below 1.
   Engine(const PetMatrix& pet, std::vector<MachineTypeId> machine_types,
          Mapper& mapper, Dropper& dropper, EngineConfig config = {});
 

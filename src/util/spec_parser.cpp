@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace taskdrop {
 namespace {
 
@@ -25,133 +27,45 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
-// --- JSON subset: one object of scalars / flat arrays of scalars. Numbers
-// are kept as their source text so the sweep layer re-parses them with its
-// own validation, exactly as it does for key=value input.
+// --- JSON: one object of scalars / flat arrays of scalars, read through
+// util/json. Numbers are kept as their source text so the sweep layer
+// re-parses them with its own validation, exactly as it does for
+// key=value input.
 
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
+constexpr const char* kJsonContext = "spec JSON";
 
-  SpecMap parse_object() {
-    SpecMap map;
-    expect('{');
-    skip_space();
-    if (peek() == '}') {
-      ++pos_;
-      finish();
-      return map;
-    }
-    for (;;) {
-      skip_space();
-      const std::string key = parse_string();
-      expect(':');
-      auto& values = map[key];
-      skip_space();
-      if (peek() == '[') {
-        ++pos_;
-        skip_space();
-        if (peek() == ']') {
-          ++pos_;
-        } else {
-          for (;;) {
-            values.push_back(parse_scalar());
-            skip_space();
-            if (peek() == ',') {
-              ++pos_;
-              continue;
-            }
-            expect(']');
-            break;
-          }
-        }
-      } else {
-        values.push_back(parse_scalar());
+/// A scalar's text: strings decoded, numbers as their token, booleans as
+/// true/false. Null and nested containers are rejected, naming the key.
+std::string json_scalar(const JsonValue& value, const std::string& key) {
+  if (value.kind == JsonValue::Kind::Bool) {
+    return value.boolean ? "true" : "false";
+  }
+  if (value.kind != JsonValue::Kind::String &&
+      value.kind != JsonValue::Kind::Number) {
+    throw std::invalid_argument(std::string(kJsonContext) + ": \"" + key +
+                                "\" needs a string, number or boolean, or "
+                                "a flat array of them");
+  }
+  return value.text;
+}
+
+SpecMap parse_json_object(const std::string& text) {
+  // The caller routes only documents starting with '{' here, so a
+  // document that parses is an object.
+  const JsonValue document = parse_json(text, kJsonContext);
+  SpecMap map;
+  for (const auto& [key, value] : document.members) {
+    auto& values = map[key];
+    if (value.kind == JsonValue::Kind::Array) {
+      for (const JsonValue& item : value.items) {
+        values.push_back(json_scalar(item, key));
       }
-      skip_space();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      break;
-    }
-    finish();
-    return map;
-  }
-
- private:
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_space() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+    } else {
+      values.push_back(json_scalar(value, key));
     }
   }
-
-  void expect(char wanted) {
-    skip_space();
-    if (peek() != wanted) {
-      throw std::invalid_argument("spec JSON: expected '" +
-                                  std::string(1, wanted) + "' at offset " +
-                                  std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  void finish() {
-    skip_space();
-    if (pos_ != text_.size()) {
-      throw std::invalid_argument("spec JSON: trailing content at offset " +
-                                  std::to_string(pos_));
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        c = text_[pos_++];
-        if (c == 'n') c = '\n';
-        if (c == 't') c = '\t';
-        // '"', '\\' and '/' map to themselves.
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) {
-      throw std::invalid_argument("spec JSON: unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  std::string parse_scalar() {
-    skip_space();
-    if (peek() == '"') return parse_string();
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ',' || c == ']' || c == '}' ||
-          std::isspace(static_cast<unsigned char>(c))) {
-        break;
-      }
-      out += c;
-      ++pos_;
-    }
-    if (out.empty()) {
-      throw std::invalid_argument("spec JSON: expected a value at offset " +
-                                  std::to_string(pos_));
-    }
-    return out;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+  return map;
+}
 
 SpecMap parse_key_value(const std::string& text) {
   SpecMap map;
@@ -221,7 +135,7 @@ std::string join_spec_list(const std::vector<std::string>& items) {
 SpecMap parse_spec_text(const std::string& text) {
   const std::string body = trim(text);
   if (!body.empty() && body.front() == '{') {
-    return JsonCursor(body).parse_object();
+    return parse_json_object(body);
   }
   return parse_key_value(text);
 }

@@ -23,6 +23,8 @@ struct WorkloadConfig {
   double gamma = 4.0;
   ArrivalPattern pattern = ArrivalPattern::Poisson;
   std::uint64_t seed = 1;
+
+  bool operator==(const WorkloadConfig&) const = default;
 };
 
 /// Generates a trial: task types drawn uniformly, arrivals from the chosen

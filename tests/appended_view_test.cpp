@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/completion_model.hpp"
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -63,11 +63,11 @@ PetMatrix random_pet(Rng& rng, int types, Tick stride) {
 /// Probes every type over a deadline sweep spanning (and overshooting) the
 /// appended support, both through the lazy memo (chance_if_appended) and
 /// the eager table (appended_view), against the direct reference.
-void expect_probes_match(SystemSandbox& sandbox, const PetMatrix& pet,
+void expect_probes_match(SystemState& system, const PetMatrix& pet,
                          Tick now, Tick horizon, Tick step,
                          const char* label) {
-  CompletionModel& model = sandbox.model(0);
-  const Machine& machine = sandbox.machine(0);
+  CompletionModel& model = system.model(0);
+  const Machine& machine = system.machine(0);
   for (TaskTypeId type = 0; type < pet.task_type_count(); ++type) {
     for (Tick deadline = 0; deadline <= horizon; deadline += step) {
       const double expected = reference_chance_if_appended(
@@ -91,22 +91,22 @@ TEST(AppendedView, MatchesDirectComputationAcrossRandomStates) {
     for (int round = 0; round < 20; ++round) {
       const int types = static_cast<int>(rng.uniform_int(1, 4));
       const PetMatrix pet = random_pet(rng, types, stride);
-      SystemSandbox sandbox(pet, {0}, /*queue_capacity=*/8, /*now=*/0);
+      SystemState system(pet, {0}, /*queue_capacity=*/8, /*now=*/0);
 
       const int depth = static_cast<int>(rng.uniform_int(0, 6));
       Tick deadline = stride * 6;
       for (int i = 0; i < depth; ++i) {
         deadline += stride * rng.uniform_int(1, 8);
-        sandbox.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(
-                               0, static_cast<Tick>(types) - 1)),
-                        deadline);
+        system.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(
+                              0, static_cast<Tick>(types) - 1)),
+                       deadline);
       }
       const bool running = depth > 0 && rng.uniform01() < 0.5;
-      if (running) sandbox.set_running(0, /*run_start=*/0);
+      if (running) system.set_running(0, /*run_start=*/0);
 
       const Tick horizon = deadline + stride * 60;
       // Off-lattice probes included on purpose: step 1 walks every tick.
-      expect_probes_match(sandbox, pet, /*now=*/0, horizon, /*step=*/1,
+      expect_probes_match(system, pet, /*now=*/0, horizon, /*step=*/1,
                           "random state");
     }
   }
@@ -115,39 +115,39 @@ TEST(AppendedView, MatchesDirectComputationAcrossRandomStates) {
 TEST(AppendedView, InvalidatesOnEveryQueueMutation) {
   Rng rng(99);
   const PetMatrix pet = random_pet(rng, 2, /*stride=*/1);
-  SystemSandbox sandbox(pet, {0}, 8, /*now=*/0);
-  CompletionModel& model = sandbox.model(0);
+  SystemState system(pet, {0}, 8, /*now=*/0);
+  CompletionModel& model = system.model(0);
 
   // Warm the cache on the empty queue, then mutate step by step; each
   // mutation bumps the revision and must fully refresh the cache.
-  expect_probes_match(sandbox, pet, 0, 80, 1, "empty");
+  expect_probes_match(system, pet, 0, 80, 1, "empty");
 
-  sandbox.enqueue(0, 0, 30);
+  system.enqueue(0, 0, 30);
   auto revision = model.revision();
-  expect_probes_match(sandbox, pet, 0, 120, 1, "after enqueue");
+  expect_probes_match(system, pet, 0, 120, 1, "after enqueue");
 
-  sandbox.enqueue(0, 1, 45);
+  system.enqueue(0, 1, 45);
   EXPECT_NE(model.revision(), revision);
-  expect_probes_match(sandbox, pet, 0, 140, 1, "after second enqueue");
+  expect_probes_match(system, pet, 0, 140, 1, "after second enqueue");
 
-  sandbox.set_running(0, /*run_start=*/2);
-  expect_probes_match(sandbox, pet, 0, 140, 1, "after start");
+  system.set_running(0, /*run_start=*/2);
+  expect_probes_match(system, pet, 0, 140, 1, "after start");
 
-  sandbox.drop_queued_task(0, 1);
-  expect_probes_match(sandbox, pet, 0, 140, 1, "after drop");
+  system.drop_queued_task(0, 1);
+  expect_probes_match(system, pet, 0, 140, 1, "after drop");
 }
 
 TEST(AppendedView, EmptyQueueTracksNow) {
   Rng rng(5);
   const PetMatrix pet = random_pet(rng, 2, /*stride=*/2);
-  SystemSandbox sandbox(pet, {0}, 8, /*now=*/0);
+  SystemState system(pet, {0}, 8, /*now=*/0);
   // The idle probe depends on `now` even though no mutation bumps the
   // revision — the cache must not serve stale values across set_now.
-  expect_probes_match(sandbox, pet, 0, 60, 1, "now=0");
-  sandbox.set_now(7);
-  expect_probes_match(sandbox, pet, 7, 80, 1, "now=7");
-  sandbox.set_now(8);
-  expect_probes_match(sandbox, pet, 8, 80, 1, "now=8");
+  expect_probes_match(system, pet, 0, 60, 1, "now=0");
+  system.set_now(7);
+  expect_probes_match(system, pet, 7, 80, 1, "now=7");
+  system.set_now(8);
+  expect_probes_match(system, pet, 8, 80, 1, "now=8");
 }
 
 TEST(AppendedView, ViewAgreesWithMaterialisedAppend) {
@@ -157,13 +157,13 @@ TEST(AppendedView, ViewAgreesWithMaterialisedAppend) {
   Rng rng(123);
   const PetMatrix pet = random_pet(rng, 3, /*stride=*/1);
   for (int round = 0; round < 10; ++round) {
-    SystemSandbox sandbox(pet, {0}, 8, /*now=*/0);
-    sandbox.enqueue(0, 0, 20 + round);
-    sandbox.enqueue(0, 1, 30 + round);
-    CompletionModel& model = sandbox.model(0);
+    SystemState system(pet, {0}, 8, /*now=*/0);
+    system.enqueue(0, 0, 20 + round);
+    system.enqueue(0, 1, 30 + round);
+    CompletionModel& model = system.model(0);
     const Tick deadline = 25 + 3 * round;
     const double viewed = model.appended_view(2).mass_before(deadline);
-    sandbox.enqueue(0, 2, deadline);
+    system.enqueue(0, 2, deadline);
     EXPECT_NEAR(model.chance(2), viewed, 1e-9) << "round " << round;
   }
 }
@@ -171,27 +171,27 @@ TEST(AppendedView, ViewAgreesWithMaterialisedAppend) {
 TEST(AppendedView, TailMeanMemoMatchesDirectMean) {
   Rng rng(77);
   const PetMatrix pet = random_pet(rng, 2, /*stride=*/1);
-  SystemSandbox sandbox(pet, {0}, 8, /*now=*/3);
-  CompletionModel& model = sandbox.model(0);
+  SystemState system(pet, {0}, 8, /*now=*/3);
+  CompletionModel& model = system.model(0);
   EXPECT_DOUBLE_EQ(model.tail_mean(), 3.0);  // empty queue: starts at now
 
-  sandbox.enqueue(0, 0, 40);
+  system.enqueue(0, 0, 40);
   EXPECT_DOUBLE_EQ(model.tail_mean(), model.completion(0).mean());
   // Second read: memo hit, same value.
   EXPECT_DOUBLE_EQ(model.tail_mean(), model.completion(0).mean());
 
-  sandbox.enqueue(0, 1, 60);
+  system.enqueue(0, 1, 60);
   EXPECT_DOUBLE_EQ(model.tail_mean(), model.completion(1).mean());
-  sandbox.drop_queued_task(0, 1);
+  system.drop_queued_task(0, 1);
   EXPECT_DOUBLE_EQ(model.tail_mean(), model.completion(0).mean());
 }
 
 TEST(AppendedView, RevisionBumpsOnInvalidateNotOnReads) {
   Rng rng(11);
   const PetMatrix pet = random_pet(rng, 2, /*stride=*/1);
-  SystemSandbox sandbox(pet, {0}, 8, /*now=*/0);
-  CompletionModel& model = sandbox.model(0);
-  sandbox.enqueue(0, 0, 50);
+  SystemState system(pet, {0}, 8, /*now=*/0);
+  CompletionModel& model = system.model(0);
+  system.enqueue(0, 0, 50);
   const auto before = model.revision();
   (void)model.chance_if_appended(1, 30);
   (void)model.appended_view(1);

@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "core/approx_dropper.hpp"
-#include "core/sandbox.hpp"
 #include "exp/experiment.hpp"
+#include "online/system_state.hpp"
 #include "pet/pet_builder.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
@@ -58,78 +58,78 @@ struct ApproxRig {
   PetMatrix pet = pet_of({{{{10, 1.0}}}, {{{1, 1.0}}}});
   PetMatrix approx = scaled_pet(pet, 0.5);
 
-  std::unique_ptr<SystemSandbox> sandbox(int capacity = 6) {
+  std::unique_ptr<SystemState> system(int capacity = 6) {
     CompletionModel::Options options;
     options.approx_pet = &approx;
-    return std::make_unique<SystemSandbox>(pet, std::vector<MachineTypeId>{0},
-                                           capacity, 0, options);
+    return std::make_unique<SystemState>(pet, std::vector<MachineTypeId>{0},
+                                         capacity, 0, options);
   }
 };
 
 TEST(ApproxDropper, DowngradesWhenApproximateVersionSucceeds) {
   ApproxRig rig;
-  auto sandbox = rig.sandbox();
+  auto system = rig.system();
   // Full big task (10 ticks) with deadline 8: hopeless at full quality,
   // certain at approximate quality (5 ticks). No successors, so dropping is
   // off the table (last task) — downgrade is the only sensible move:
   // keep utility = 0, downgrade utility = 0.5 * 1.0.
-  const TaskId task = sandbox->enqueue(0, 0, 8);
+  const TaskId task = system->enqueue(0, 0, 8);
   ApproxDropper dropper;
-  dropper.run(sandbox->view(), *sandbox);
-  ASSERT_EQ(sandbox->downgraded.size(), 1u);
-  EXPECT_EQ(sandbox->downgraded.front(), task);
-  EXPECT_TRUE(sandbox->dropped.empty());
-  EXPECT_TRUE(sandbox->task(task).approximate);
-  EXPECT_NEAR(sandbox->model(0).chance(0), 1.0, 1e-12);
+  dropper.run(system->view(), *system);
+  ASSERT_EQ(system->downgraded().size(), 1u);
+  EXPECT_EQ(system->downgraded().front(), task);
+  EXPECT_TRUE(system->dropped().empty());
+  EXPECT_TRUE(system->task(task).approximate);
+  EXPECT_NEAR(system->model(0).chance(0), 1.0, 1e-12);
 }
 
 TEST(ApproxDropper, PrefersDropWhenDowngradeCannotSave) {
   ApproxRig rig;
-  auto sandbox = rig.sandbox();
+  auto system = rig.system();
   // Big head with deadline 3: even the approximate version (5 ticks) misses.
   // Successors gain everything from a drop.
-  const TaskId big = sandbox->enqueue(0, 0, 3);
-  sandbox->enqueue(0, 1, 4);
-  sandbox->enqueue(0, 1, 5);
+  const TaskId big = system->enqueue(0, 0, 3);
+  system->enqueue(0, 1, 4);
+  system->enqueue(0, 1, 5);
   ApproxDropper dropper;
-  dropper.run(sandbox->view(), *sandbox);
-  ASSERT_EQ(sandbox->dropped.size(), 1u);
-  EXPECT_EQ(sandbox->dropped.front(), big);
-  EXPECT_TRUE(sandbox->downgraded.empty());
+  dropper.run(system->view(), *system);
+  ASSERT_EQ(system->dropped().size(), 1u);
+  EXPECT_EQ(system->dropped().front(), big);
+  EXPECT_TRUE(system->downgraded().empty());
 }
 
 TEST(ApproxDropper, KeepsCertainTasksAtFullQuality) {
   ApproxRig rig;
-  auto sandbox = rig.sandbox();
-  sandbox->enqueue(0, 1, 100);
-  sandbox->enqueue(0, 1, 101);
+  auto system = rig.system();
+  system->enqueue(0, 1, 100);
+  system->enqueue(0, 1, 101);
   ApproxDropper dropper;
-  dropper.run(sandbox->view(), *sandbox);
-  EXPECT_TRUE(sandbox->dropped.empty());
+  dropper.run(system->view(), *system);
+  EXPECT_TRUE(system->dropped().empty());
   // Downgrading a certain task would shrink its utility from 1.0 to 0.5.
-  EXPECT_TRUE(sandbox->downgraded.empty());
+  EXPECT_TRUE(system->downgraded().empty());
 }
 
 TEST(ApproxDropper, WithoutApproxPetBehavesLikeHeuristic) {
   const PetMatrix pet = pet_of({{{{10, 1.0}}}, {{{1, 1.0}}}});
-  SystemSandbox sandbox(pet, {0}, 6);  // no approx_pet in options
-  sandbox.enqueue(0, 0, 5);
-  sandbox.enqueue(0, 1, 3);
-  sandbox.enqueue(0, 1, 4);
+  SystemState system(pet, {0}, 6);  // no approx_pet in options
+  system.enqueue(0, 0, 5);
+  system.enqueue(0, 1, 3);
+  system.enqueue(0, 1, 4);
   ApproxDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), 1u);
-  EXPECT_TRUE(sandbox.downgraded.empty());
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), 1u);
+  EXPECT_TRUE(system.downgraded().empty());
 }
 
 TEST(ApproxDropper, DowngradeIsIdempotentPerTask) {
   ApproxRig rig;
-  auto sandbox = rig.sandbox();
-  sandbox->enqueue(0, 0, 8);
+  auto system = rig.system();
+  system->enqueue(0, 0, 8);
   ApproxDropper dropper;
-  dropper.run(sandbox->view(), *sandbox);
-  dropper.run(sandbox->view(), *sandbox);
-  EXPECT_EQ(sandbox->downgraded.size(), 1u);  // not downgraded twice
+  dropper.run(system->view(), *system);
+  dropper.run(system->view(), *system);
+  EXPECT_EQ(system->downgraded().size(), 1u);  // not downgraded twice
 }
 
 // ----------------------- engine integration --------------------------

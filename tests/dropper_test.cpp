@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/null_dropper.hpp"
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
 #include "test_util.hpp"
@@ -30,49 +30,49 @@ PetMatrix dropper_pet() {
 
 TEST(HeuristicDropper, DropsHopelessHeadThatBlocksSuccessors) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
+  SystemState system(pet, {0}, 6);
   // Head: big task that cannot finish by 5 (chance 0) but would occupy the
   // machine for 10 ticks, dooming both small successors.
-  const TaskId big = sandbox.enqueue(0, /*type=*/0, /*deadline=*/5);
-  sandbox.enqueue(0, /*type=*/1, /*deadline=*/3);
-  sandbox.enqueue(0, /*type=*/1, /*deadline=*/4);
+  const TaskId big = system.enqueue(0, /*type=*/0, /*deadline=*/5);
+  system.enqueue(0, /*type=*/1, /*deadline=*/3);
+  system.enqueue(0, /*type=*/1, /*deadline=*/4);
 
   ProactiveHeuristicDropper dropper;  // eta=2, beta=1
-  dropper.run(sandbox.view(), sandbox);
+  dropper.run(system.view(), system);
 
-  ASSERT_EQ(sandbox.dropped.size(), 1u);
-  EXPECT_EQ(sandbox.dropped.front(), big);
+  ASSERT_EQ(system.dropped().size(), 1u);
+  EXPECT_EQ(system.dropped().front(), big);
   // The survivors are now certain to succeed.
-  EXPECT_NEAR(sandbox.model(0).chance(0), 1.0, 1e-12);
-  EXPECT_NEAR(sandbox.model(0).chance(1), 1.0, 1e-12);
+  EXPECT_NEAR(system.model(0).chance(0), 1.0, 1e-12);
+  EXPECT_NEAR(system.model(0).chance(1), 1.0, 1e-12);
 }
 
 TEST(HeuristicDropper, NeverDropsTheLastTask) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
+  SystemState system(pet, {0}, 6);
   // A single hopeless task: its influence zone is null (section IV-D), so
   // proactive dropping must leave it alone.
-  sandbox.enqueue(0, /*type=*/0, /*deadline=*/2);
+  system.enqueue(0, /*type=*/0, /*deadline=*/2);
   ProactiveHeuristicDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
-  EXPECT_EQ(sandbox.machine(0).queue.size(), 1u);
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
+  EXPECT_EQ(system.machine(0).queue.size(), 1u);
 }
 
 TEST(HeuristicDropper, NeverDropsTheRunningTask) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  const TaskId running = sandbox.enqueue(0, /*type=*/0, /*deadline=*/5);
-  sandbox.enqueue(0, /*type=*/1, /*deadline=*/3);
-  sandbox.enqueue(0, /*type=*/1, /*deadline=*/4);
-  sandbox.set_running(0, /*run_start=*/0);
+  SystemState system(pet, {0}, 6);
+  const TaskId running = system.enqueue(0, /*type=*/0, /*deadline=*/5);
+  system.enqueue(0, /*type=*/1, /*deadline=*/3);
+  system.enqueue(0, /*type=*/1, /*deadline=*/4);
+  system.set_running(0, /*run_start=*/0);
 
   ProactiveHeuristicDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
+  dropper.run(system.view(), system);
   // The hopeless running task is untouchable (no preemption); at most the
   // pending tasks may go. The first queued position must still hold it.
-  EXPECT_EQ(sandbox.machine(0).queue.front(), running);
-  for (TaskId dropped : sandbox.dropped) EXPECT_NE(dropped, running);
+  EXPECT_EQ(system.machine(0).queue.front(), running);
+  for (TaskId dropped : system.dropped()) EXPECT_NE(dropped, running);
 }
 
 TEST(HeuristicDropper, LargeBetaDisablesDropping) {
@@ -82,14 +82,14 @@ TEST(HeuristicDropper, LargeBetaDisablesDropping) {
   // conservative the factor. With positive keep-sum, beta -> infinity
   // disables dropping as section IV-E describes.
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 3, 3);  // coin: chance 0.5
-  sandbox.enqueue(0, 1, 4);
-  sandbox.enqueue(0, 1, 5);
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 3, 3);  // coin: chance 0.5
+  system.enqueue(0, 1, 4);
+  system.enqueue(0, 1, 5);
   ProactiveHeuristicDropper dropper(
       ProactiveHeuristicDropper::Params{2, 1e9});
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
 }
 
 TEST(HeuristicDropper, BetaGatesMarginalGains) {
@@ -98,17 +98,17 @@ TEST(HeuristicDropper, BetaGatesMarginalGains) {
   // deadlines 4 and 5: each has chance 0.5 behind the coin, 1.0 without it.
   // Eq. 8: gain 2.0 vs beta * keep 1.5 -> drops at beta=1, not at beta=1.5.
   for (const double beta : {1.0, 1.5}) {
-    SystemSandbox sandbox(pet, {0}, 6);
-    sandbox.enqueue(0, 3, 3);
-    sandbox.enqueue(0, 1, 4);
-    sandbox.enqueue(0, 1, 5);
+    SystemState system(pet, {0}, 6);
+    system.enqueue(0, 3, 3);
+    system.enqueue(0, 1, 4);
+    system.enqueue(0, 1, 5);
     ProactiveHeuristicDropper dropper(
         ProactiveHeuristicDropper::Params{2, beta});
-    dropper.run(sandbox.view(), sandbox);
+    dropper.run(system.view(), system);
     if (beta == 1.0) {
-      EXPECT_EQ(sandbox.dropped.size(), 1u) << "beta " << beta;
+      EXPECT_EQ(system.dropped().size(), 1u) << "beta " << beta;
     } else {
-      EXPECT_TRUE(sandbox.dropped.empty()) << "beta " << beta;
+      EXPECT_TRUE(system.dropped().empty()) << "beta " << beta;
     }
   }
 }
@@ -121,105 +121,105 @@ TEST(HeuristicDropper, EffectiveDepthOneMissesDeeperGains) {
   // eta=1 sees no gain; eta=2 sees it (the paper's Fig. 5 argument for
   // eta=1 being "not effective").
   for (const int eta : {1, 2}) {
-    SystemSandbox sandbox(pet, {0}, 6);
-    sandbox.enqueue(0, 2, 4);
-    sandbox.enqueue(0, 1, 7);
-    sandbox.enqueue(0, 1, 3);
+    SystemState system(pet, {0}, 6);
+    system.enqueue(0, 2, 4);
+    system.enqueue(0, 1, 7);
+    system.enqueue(0, 1, 3);
     ProactiveHeuristicDropper dropper(
         ProactiveHeuristicDropper::Params{eta, 1.0});
-    dropper.run(sandbox.view(), sandbox);
+    dropper.run(system.view(), system);
     if (eta == 1) {
-      EXPECT_TRUE(sandbox.dropped.empty()) << "eta " << eta;
+      EXPECT_TRUE(system.dropped().empty()) << "eta " << eta;
     } else {
-      EXPECT_EQ(sandbox.dropped.size(), 1u) << "eta " << eta;
+      EXPECT_EQ(system.dropped().size(), 1u) << "eta " << eta;
     }
   }
 }
 
 TEST(HeuristicDropper, SinglePassReexaminesShiftedPosition) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
+  SystemState system(pet, {0}, 6);
   // Two risky coin tasks (deadline 3: each succeeds with 0.5 alone, dooms
   // everything behind it on the slow branch) ahead of two certain smalls.
   // Dropping the first coin is worthwhile; the second coin then shifts into
   // the examined position and must be evaluated — and dropped — in the same
   // pass.
-  sandbox.enqueue(0, 3, 3);
-  sandbox.enqueue(0, 3, 3);
-  sandbox.enqueue(0, 1, 4);
-  sandbox.enqueue(0, 1, 5);
+  system.enqueue(0, 3, 3);
+  system.enqueue(0, 3, 3);
+  system.enqueue(0, 1, 4);
+  system.enqueue(0, 1, 5);
   ProactiveHeuristicDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), 2u);
-  EXPECT_EQ(sandbox.machine(0).queue.size(), 2u);
-  EXPECT_NEAR(sandbox.model(0).instantaneous_robustness(), 2.0, 1e-12);
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), 2u);
+  EXPECT_EQ(system.machine(0).queue.size(), 2u);
+  EXPECT_NEAR(system.model(0).instantaneous_robustness(), 2.0, 1e-12);
 }
 
 TEST(HeuristicDropper, SecondRunOnUnchangedQueueIsIdempotent) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 0, 5);
-  sandbox.enqueue(0, 1, 3);
-  sandbox.enqueue(0, 1, 4);
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 0, 5);
+  system.enqueue(0, 1, 3);
+  system.enqueue(0, 1, 4);
   ProactiveHeuristicDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  const std::size_t after_first = sandbox.dropped.size();
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), after_first);
+  dropper.run(system.view(), system);
+  const std::size_t after_first = system.dropped().size();
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), after_first);
 }
 
 TEST(HeuristicDropper, FreshDropperReachesSameFixpoint) {
   // The version-skip memoisation must not change decisions: a brand-new
   // dropper (no memo) on the post-pass queue finds nothing to drop either.
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 0, 5);
-  sandbox.enqueue(0, 3, 6);
-  sandbox.enqueue(0, 1, 3);
-  sandbox.enqueue(0, 1, 4);
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 0, 5);
+  system.enqueue(0, 3, 6);
+  system.enqueue(0, 1, 3);
+  system.enqueue(0, 1, 4);
   ProactiveHeuristicDropper first;
-  first.run(sandbox.view(), sandbox);
-  const std::size_t dropped = sandbox.dropped.size();
+  first.run(system.view(), system);
+  const std::size_t dropped = system.dropped().size();
   ProactiveHeuristicDropper fresh;
-  fresh.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), dropped);
+  fresh.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), dropped);
 }
 
 TEST(HeuristicDropper, NoDropsWhenEveryTaskIsCertain) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
+  SystemState system(pet, {0}, 6);
   for (int i = 0; i < 5; ++i) {
-    sandbox.enqueue(0, /*type=*/1, /*deadline=*/100 + i);
+    system.enqueue(0, /*type=*/1, /*deadline=*/100 + i);
   }
   ProactiveHeuristicDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
 }
 
 TEST(HeuristicDropper, WindowClampsWhenFewerSuccessorsThanEta) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 0, 5);  // hopeless head
-  sandbox.enqueue(0, 1, 3);  // single successor
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 0, 5);  // hopeless head
+  system.enqueue(0, 1, 3);  // single successor
   ProactiveHeuristicDropper dropper(ProactiveHeuristicDropper::Params{5, 1.0});
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), 1u);
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), 1u);
 }
 
 TEST(HeuristicDropper, MultiMachinePassCoversAllQueues) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0, 0}, 6);
-  sandbox.enqueue(0, 0, 5);
-  sandbox.enqueue(0, 1, 3);
-  sandbox.enqueue(0, 1, 4);
-  sandbox.enqueue(1, 0, 5);
-  sandbox.enqueue(1, 1, 3);
-  sandbox.enqueue(1, 1, 4);
+  SystemState system(pet, {0, 0}, 6);
+  system.enqueue(0, 0, 5);
+  system.enqueue(0, 1, 3);
+  system.enqueue(0, 1, 4);
+  system.enqueue(1, 0, 5);
+  system.enqueue(1, 1, 3);
+  system.enqueue(1, 1, 4);
   ProactiveHeuristicDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), 2u);
-  EXPECT_EQ(sandbox.machine(0).queue.size(), 2u);
-  EXPECT_EQ(sandbox.machine(1).queue.size(), 2u);
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), 2u);
+  EXPECT_EQ(system.machine(0).queue.size(), 2u);
+  EXPECT_EQ(system.machine(1).queue.size(), 2u);
 }
 
 /// Reference for the memoised heuristic: the same single pass with a
@@ -323,12 +323,12 @@ TEST(HeuristicDropper, WindowMemoMatchesDirectWalkInEngineTrials) {
 
 TEST(NullDropper, NeverDropsAnything) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 0, 2);  // hopeless
-  sandbox.enqueue(0, 1, 3);
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 0, 2);  // hopeless
+  system.enqueue(0, 1, 3);
   NullDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
   EXPECT_EQ(dropper.name(), "ReactDrop");
 }
 

@@ -6,7 +6,7 @@
 
 #include "core/null_dropper.hpp"
 #include "core/proactive_heuristic_dropper.hpp"
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "sched/pam.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
@@ -26,8 +26,8 @@ PetMatrix inconsistent_pet() {
   return pet_of({{{{10, 1.0}}, {{20, 1.0}}}, {{{20, 1.0}}, {{5, 1.0}}}});
 }
 
-MachineId machine_of(const SystemSandbox& sandbox, TaskId task) {
-  for (const auto& [assigned_task, machine] : sandbox.assigned) {
+MachineId machine_of(const SystemState& system, TaskId task) {
+  for (const auto& [assigned_task, machine] : system.assigned()) {
     if (assigned_task == task) return machine;
   }
   return -1;
@@ -63,93 +63,93 @@ TEST(Registry, BuildsEveryDropperKind) {
 
 TEST(MinMin, AssignsEachTaskToItsFastestMachine) {
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0, 1}, 6);
-  const TaskId t0 = sandbox.add_unmapped(0, 0, 1000);
-  const TaskId t1 = sandbox.add_unmapped(1, 0, 1000);
-  make_mapper("MM")->map_tasks(sandbox.view(), sandbox);
-  EXPECT_EQ(machine_of(sandbox, t0), 0);
-  EXPECT_EQ(machine_of(sandbox, t1), 1);
-  EXPECT_TRUE(sandbox.view().batch_queue->empty());
+  SystemState system(pet, {0, 1}, 6);
+  const TaskId t0 = system.add_unmapped(0, 0, 1000);
+  const TaskId t1 = system.add_unmapped(1, 0, 1000);
+  make_mapper("MM")->map_tasks(system.view(), system);
+  EXPECT_EQ(machine_of(system, t0), 0);
+  EXPECT_EQ(machine_of(system, t1), 1);
+  EXPECT_TRUE(system.view().batch_queue->empty());
 }
 
 TEST(MinMin, AccountsForQueueBacklogInPhaseOne) {
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0, 1}, 6);
+  SystemState system(pet, {0, 1}, 6);
   // Load m0 with 3 type-0 tasks (30 ticks of backlog). A new type-0 task
   // now completes sooner on the "slow" m1 (20) than behind the backlog
   // (30 + 10 = 40).
-  for (int i = 0; i < 3; ++i) sandbox.enqueue(0, 0, 10000);
-  const TaskId task = sandbox.add_unmapped(0, 0, 10000);
-  make_mapper("MM")->map_tasks(sandbox.view(), sandbox);
-  EXPECT_EQ(machine_of(sandbox, task), 1);
+  for (int i = 0; i < 3; ++i) system.enqueue(0, 0, 10000);
+  const TaskId task = system.add_unmapped(0, 0, 10000);
+  make_mapper("MM")->map_tasks(system.view(), system);
+  EXPECT_EQ(machine_of(system, task), 1);
 }
 
 TEST(MinMin, AssignsOnePairPerMachinePerRound) {
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0}, 2);
+  SystemState system(pet, {0}, 2);
   // Three type-0 tasks, one machine with 2 slots: only two get mapped.
-  sandbox.add_unmapped(0, 0, 1000);
-  sandbox.add_unmapped(0, 1, 1000);
-  sandbox.add_unmapped(0, 2, 1000);
-  make_mapper("MM")->map_tasks(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.assigned.size(), 2u);
-  EXPECT_EQ(sandbox.view().batch_queue->size(), 1u);
+  system.add_unmapped(0, 0, 1000);
+  system.add_unmapped(0, 1, 1000);
+  system.add_unmapped(0, 2, 1000);
+  make_mapper("MM")->map_tasks(system.view(), system);
+  EXPECT_EQ(system.assigned().size(), 2u);
+  EXPECT_EQ(system.view().batch_queue->size(), 1u);
 }
 
 TEST(Msd, PhaseTwoPrefersSoonestDeadline) {
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0}, 1);  // single slot forces a choice
-  sandbox.add_unmapped(0, 0, /*deadline=*/5000);
-  const TaskId urgent = sandbox.add_unmapped(0, 0, /*deadline=*/50);
-  make_mapper("MSD")->map_tasks(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.assigned.size(), 1u);
-  EXPECT_EQ(sandbox.assigned.front().first, urgent);
+  SystemState system(pet, {0}, 1);  // single slot forces a choice
+  system.add_unmapped(0, 0, /*deadline=*/5000);
+  const TaskId urgent = system.add_unmapped(0, 0, /*deadline=*/50);
+  make_mapper("MSD")->map_tasks(system.view(), system);
+  ASSERT_EQ(system.assigned().size(), 1u);
+  EXPECT_EQ(system.assigned().front().first, urgent);
 }
 
 TEST(Msd, DeadlineTieBreaksOnCompletionTime) {
   // Two tasks with equal deadlines but different execution times on the
   // only machine: the faster one wins the slot.
   const PetMatrix pet = pet_of({{{{10, 1.0}}}, {{{5, 1.0}}}});
-  SystemSandbox sandbox(pet, {0}, 1);
-  sandbox.add_unmapped(0, 0, 100);
-  const TaskId fast = sandbox.add_unmapped(1, 0, 100);
-  make_mapper("MSD")->map_tasks(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.assigned.size(), 1u);
-  EXPECT_EQ(sandbox.assigned.front().first, fast);
+  SystemState system(pet, {0}, 1);
+  system.add_unmapped(0, 0, 100);
+  const TaskId fast = system.add_unmapped(1, 0, 100);
+  make_mapper("MSD")->map_tasks(system.view(), system);
+  ASSERT_EQ(system.assigned().size(), 1u);
+  EXPECT_EQ(system.assigned().front().first, fast);
 }
 
 TEST(Pam, PhaseOnePicksHighestChanceMachine) {
   // Type 0 on m0 finishes in 10, on m1 in 20. Deadline 15: chance is 1 on
   // m0 and 0 on m1, even though m1's queue is empty too.
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0, 1}, 6);
-  const TaskId task = sandbox.add_unmapped(0, 0, /*deadline=*/15);
-  make_mapper("PAM")->map_tasks(sandbox.view(), sandbox);
-  EXPECT_EQ(machine_of(sandbox, task), 0);
+  SystemState system(pet, {0, 1}, 6);
+  const TaskId task = system.add_unmapped(0, 0, /*deadline=*/15);
+  make_mapper("PAM")->map_tasks(system.view(), system);
+  EXPECT_EQ(machine_of(system, task), 0);
 }
 
 TEST(Pam, PhaseTwoMapsLowestCompletionFirst) {
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0, 1}, 1);
+  SystemState system(pet, {0, 1}, 1);
   // Deadline 15 makes each task's fast machine the unique highest-chance
   // choice (the slow one would finish at 20); the type-1 task (5 ticks on
   // m1) then has the lower expected completion and is assigned first.
-  sandbox.add_unmapped(0, 0, 15);
-  const TaskId quick = sandbox.add_unmapped(1, 0, 15);
-  make_mapper("PAM")->map_tasks(sandbox.view(), sandbox);
-  ASSERT_GE(sandbox.assigned.size(), 2u);
-  EXPECT_EQ(sandbox.assigned.front().first, quick);
+  system.add_unmapped(0, 0, 15);
+  const TaskId quick = system.add_unmapped(1, 0, 15);
+  make_mapper("PAM")->map_tasks(system.view(), system);
+  ASSERT_GE(system.assigned().size(), 2u);
+  EXPECT_EQ(system.assigned().front().first, quick);
 }
 
 TEST(Pam, MapsHopelessTasksRatherThanDeferring)  {
   // Deferring is disabled (section V-B3): even a task with zero chance on
   // every machine is mapped once slots exist.
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0, 1}, 6);
-  sandbox.set_now(100);
-  const TaskId doomed = sandbox.add_unmapped(0, 0, /*deadline=*/50);
-  make_mapper("PAM")->map_tasks(sandbox.view(), sandbox);
-  EXPECT_NE(machine_of(sandbox, doomed), -1);
+  SystemState system(pet, {0, 1}, 6);
+  system.set_now(100);
+  const TaskId doomed = system.add_unmapped(0, 0, /*deadline=*/50);
+  make_mapper("PAM")->map_tasks(system.view(), system);
+  EXPECT_NE(machine_of(system, doomed), -1);
 }
 
 /// Reference for the floor-pruned PamMapper: the same two-phase scan with
@@ -294,17 +294,17 @@ TEST(Pam, FloorPruningMatchesDirectScanInEngineTrials) {
   }
 }
 
-/// Runs `mapper` on a sandbox that `setup` fills, and returns the
+/// Runs `mapper` on a system that `setup` fills, and returns the
 /// assignments in call order.
 template <typename Setup>
 std::vector<std::pair<TaskId, MachineId>> pam_assignments(
     Mapper& mapper, const PetMatrix& pet,
     const std::vector<MachineTypeId>& machine_types, int queue_capacity,
     Setup setup) {
-  SystemSandbox sandbox(pet, machine_types, queue_capacity);
-  setup(sandbox);
-  mapper.map_tasks(sandbox.view(), sandbox);
-  return sandbox.assigned;
+  SystemState system(pet, machine_types, queue_capacity);
+  setup(system);
+  mapper.map_tasks(system.view(), system);
+  return system.assigned();
 }
 
 TEST(Pam, LaterTypeWithStrictlyLowerFloorStillWins) {
@@ -314,10 +314,10 @@ TEST(Pam, LaterTypeWithStrictlyLowerFloorStillWins) {
   // task at the back of the batch is probed (deadline 15 rules out m0)
   // and wins.
   const PetMatrix pet = inconsistent_pet();
-  const auto setup = [](SystemSandbox& sandbox) {
-    sandbox.add_unmapped(0, 0, 1000);
-    sandbox.add_unmapped(0, 1, 1000);
-    sandbox.add_unmapped(1, 2, 15);
+  const auto setup = [](SystemState& system) {
+    system.add_unmapped(0, 0, 1000);
+    system.add_unmapped(0, 1, 1000);
+    system.add_unmapped(1, 2, 15);
   };
   PamMapper pruned;
   DirectPamMapper direct(256, 0.0);
@@ -335,10 +335,10 @@ TEST(Pam, EqualCompletionTieAcrossTypesBreaksOnExecutionTime) {
   // comes second.
   const PetMatrix pet =
       pet_of({{{{10, 1.0}}, {{30, 1.0}}}, {{{30, 1.0}}, {{20, 1.0}}}});
-  const auto setup = [](SystemSandbox& sandbox) {
-    sandbox.enqueue(0, 0, 1000);
-    sandbox.add_unmapped(1, 0, 25);
-    sandbox.add_unmapped(0, 1, 25);
+  const auto setup = [](SystemState& system) {
+    system.enqueue(0, 0, 1000);
+    system.add_unmapped(1, 0, 25);
+    system.add_unmapped(0, 1, 25);
   };
   PamMapper pruned;
   DirectPamMapper direct(256, 0.0);
@@ -355,10 +355,10 @@ TEST(Pam, EarlyStopLeavesPickUnchanged) {
   // could only tie, and a tie never replaces the best. The second round
   // prefers the tight-deadline task, which fits only on the idle machine.
   const PetMatrix pet = pet_of({{{{10, 1.0}}}, {{{20, 1.0}}}});
-  const auto setup = [](SystemSandbox& sandbox) {
-    sandbox.add_unmapped(0, 0, 1000);
-    sandbox.add_unmapped(1, 1, 1000);
-    sandbox.add_unmapped(0, 2, 15);
+  const auto setup = [](SystemState& system) {
+    system.add_unmapped(0, 0, 1000);
+    system.add_unmapped(1, 1, 1000);
+    system.add_unmapped(0, 2, 15);
   };
   PamMapper pruned;
   DirectPamMapper direct(256, 0.0);
@@ -371,76 +371,76 @@ TEST(Pam, EarlyStopLeavesPickUnchanged) {
 
 TEST(Fcfs, MapsInArrivalOrder) {
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0}, 3);
-  const TaskId first = sandbox.add_unmapped(0, /*arrival=*/10, 1000);
-  const TaskId second = sandbox.add_unmapped(0, /*arrival=*/20, 1000);
-  const TaskId third = sandbox.add_unmapped(0, /*arrival=*/30, 1000);
-  make_mapper("FCFS")->map_tasks(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.assigned.size(), 3u);
-  EXPECT_EQ(sandbox.assigned[0].first, first);
-  EXPECT_EQ(sandbox.assigned[1].first, second);
-  EXPECT_EQ(sandbox.assigned[2].first, third);
+  SystemState system(pet, {0}, 3);
+  const TaskId first = system.add_unmapped(0, /*arrival=*/10, 1000);
+  const TaskId second = system.add_unmapped(0, /*arrival=*/20, 1000);
+  const TaskId third = system.add_unmapped(0, /*arrival=*/30, 1000);
+  make_mapper("FCFS")->map_tasks(system.view(), system);
+  ASSERT_EQ(system.assigned().size(), 3u);
+  EXPECT_EQ(system.assigned()[0].first, first);
+  EXPECT_EQ(system.assigned()[1].first, second);
+  EXPECT_EQ(system.assigned()[2].first, third);
 }
 
 TEST(Sjf, MapsShortestMeanExecutionFirst) {
   // Mean over machines: type 0 -> 15, type 1 -> 12.5.
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0}, 2);
-  const TaskId longer = sandbox.add_unmapped(0, 0, 1000);
-  const TaskId shorter = sandbox.add_unmapped(1, 1, 1000);
-  make_mapper("SJF")->map_tasks(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.assigned.size(), 2u);
-  EXPECT_EQ(sandbox.assigned[0].first, shorter);
-  EXPECT_EQ(sandbox.assigned[1].first, longer);
+  SystemState system(pet, {0}, 2);
+  const TaskId longer = system.add_unmapped(0, 0, 1000);
+  const TaskId shorter = system.add_unmapped(1, 1, 1000);
+  make_mapper("SJF")->map_tasks(system.view(), system);
+  ASSERT_EQ(system.assigned().size(), 2u);
+  EXPECT_EQ(system.assigned()[0].first, shorter);
+  EXPECT_EQ(system.assigned()[1].first, longer);
 }
 
 TEST(Edf, MapsEarliestDeadlineFirst) {
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0}, 2);
-  const TaskId relaxed = sandbox.add_unmapped(0, 0, 900);
-  const TaskId urgent = sandbox.add_unmapped(0, 1, 100);
-  make_mapper("EDF")->map_tasks(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.assigned.size(), 2u);
-  EXPECT_EQ(sandbox.assigned[0].first, urgent);
-  EXPECT_EQ(sandbox.assigned[1].first, relaxed);
+  SystemState system(pet, {0}, 2);
+  const TaskId relaxed = system.add_unmapped(0, 0, 900);
+  const TaskId urgent = system.add_unmapped(0, 1, 100);
+  make_mapper("EDF")->map_tasks(system.view(), system);
+  ASSERT_EQ(system.assigned().size(), 2u);
+  EXPECT_EQ(system.assigned()[0].first, urgent);
+  EXPECT_EQ(system.assigned()[1].first, relaxed);
 }
 
 TEST(OrderedMappers, PickLeastLoadedMachine) {
   const PetMatrix pet = pet_of({{{{10, 1.0}}, {{10, 1.0}}}});
-  SystemSandbox sandbox(pet, {0, 0}, 6);
-  sandbox.enqueue(0, 0, 10000);  // machine 0 has backlog
-  const TaskId task = sandbox.add_unmapped(0, 0, 10000);
-  make_mapper("FCFS")->map_tasks(sandbox.view(), sandbox);
-  EXPECT_EQ(machine_of(sandbox, task), 1);
+  SystemState system(pet, {0, 0}, 6);
+  system.enqueue(0, 0, 10000);  // machine 0 has backlog
+  const TaskId task = system.add_unmapped(0, 0, 10000);
+  make_mapper("FCFS")->map_tasks(system.view(), system);
+  EXPECT_EQ(machine_of(system, task), 1);
 }
 
 TEST(AllMappers, RespectQueueCapacity) {
   const PetMatrix pet = inconsistent_pet();
   for (const std::string& name : mapper_names()) {
-    SystemSandbox sandbox(pet, {0, 1}, 2);
+    SystemState system(pet, {0, 1}, 2);
     for (int i = 0; i < 10; ++i) {
-      sandbox.add_unmapped(static_cast<TaskTypeId>(i % 2), i, 10000 + i);
+      system.add_unmapped(static_cast<TaskTypeId>(i % 2), i, 10000 + i);
     }
-    make_mapper(name)->map_tasks(sandbox.view(), sandbox);
-    EXPECT_EQ(sandbox.assigned.size(), 4u) << name;  // 2 machines x 2 slots
-    EXPECT_LE(sandbox.machine(0).queue.size(), 2u) << name;
-    EXPECT_LE(sandbox.machine(1).queue.size(), 2u) << name;
-    EXPECT_EQ(sandbox.view().batch_queue->size(), 6u) << name;
+    make_mapper(name)->map_tasks(system.view(), system);
+    EXPECT_EQ(system.assigned().size(), 4u) << name;  // 2 machines x 2 slots
+    EXPECT_LE(system.machine(0).queue.size(), 2u) << name;
+    EXPECT_LE(system.machine(1).queue.size(), 2u) << name;
+    EXPECT_EQ(system.view().batch_queue->size(), 6u) << name;
   }
 }
 
 TEST(AllMappers, NoOpOnEmptyBatchOrFullQueues) {
   const PetMatrix pet = inconsistent_pet();
   for (const std::string& name : mapper_names()) {
-    SystemSandbox empty_batch(pet, {0}, 2);
+    SystemState empty_batch(pet, {0}, 2);
     make_mapper(name)->map_tasks(empty_batch.view(), empty_batch);
-    EXPECT_TRUE(empty_batch.assigned.empty()) << name;
+    EXPECT_TRUE(empty_batch.assigned().empty()) << name;
 
-    SystemSandbox full(pet, {0}, 1);
+    SystemState full(pet, {0}, 1);
     full.enqueue(0, 0, 1000);
     full.add_unmapped(0, 0, 1000);
     make_mapper(name)->map_tasks(full.view(), full);
-    EXPECT_TRUE(full.assigned.empty()) << name;
+    EXPECT_TRUE(full.assigned().empty()) << name;
   }
 }
 
@@ -448,13 +448,13 @@ TEST(CandidateWindow, LimitsConsideredTasks) {
   // With window 1, only the batch head is a candidate; SJF cannot reach the
   // shorter task sitting behind it.
   const PetMatrix pet = inconsistent_pet();
-  SystemSandbox sandbox(pet, {0}, 1);
-  const TaskId long_head = sandbox.add_unmapped(0, 0, 1000);
-  sandbox.add_unmapped(1, 1, 1000);  // shorter, but outside the window
+  SystemState system(pet, {0}, 1);
+  const TaskId long_head = system.add_unmapped(0, 0, 1000);
+  system.add_unmapped(1, 1, 1000);  // shorter, but outside the window
   make_mapper("SJF", /*candidate_window=*/1)
-      ->map_tasks(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.assigned.size(), 1u);
-  EXPECT_EQ(sandbox.assigned.front().first, long_head);
+      ->map_tasks(system.view(), system);
+  ASSERT_EQ(system.assigned().size(), 1u);
+  EXPECT_EQ(system.assigned().front().first, long_head);
 }
 
 }  // namespace

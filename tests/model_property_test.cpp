@@ -2,7 +2,7 @@
 // mathematics guarantees for arbitrary queues, deadlines and PMF shapes.
 #include <gtest/gtest.h>
 
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "pet/pet_builder.hpp"
 #include "prob/convolution.hpp"
 #include "test_util.hpp"
@@ -75,25 +75,25 @@ TEST_P(ModelProperty, ChanceIsMonotoneInDeadline) {
 TEST_P(ModelProperty, CachedChancesMatchFreshChains) {
   Rng rng(GetParam());
   const PetMatrix pet = random_pet(rng, 4);
-  SystemSandbox sandbox(pet, {0}, 10);
+  SystemState system(pet, {0}, 10);
   const int depth = static_cast<int>(rng.uniform_int(2, 8));
   for (int i = 0; i < depth; ++i) {
-    sandbox.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 3)),
-                    rng.uniform_int(2, 60));
+    system.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 3)),
+                   rng.uniform_int(2, 60));
   }
   // Mutate a bit: drop a random pending task, enqueue another.
   if (depth > 2) {
-    sandbox.drop_queued_task(
+    system.drop_queued_task(
         0, static_cast<std::size_t>(rng.uniform_int(0, depth - 2)));
   }
-  sandbox.enqueue(0, 0, rng.uniform_int(5, 60));
+  system.enqueue(0, 0, rng.uniform_int(5, 60));
 
-  CompletionModel& model = sandbox.model(0);
-  const Machine& machine = sandbox.machine(0);
+  CompletionModel& model = system.model(0);
+  const Machine& machine = system.machine(0);
   Pmf chain = Pmf::delta(0);
   for (std::size_t pos = 0; pos < machine.queue.size(); ++pos) {
     const Task& task =
-        sandbox.task(machine.queue[pos]);
+        system.task(machine.queue[pos]);
     chain = deadline_convolve(chain, pet.pmf(task.type, 0), task.deadline);
     ASSERT_NEAR(model.chance(pos), chain.mass_before(task.deadline), 1e-9)
         << "position " << pos;
@@ -117,16 +117,16 @@ TEST_P(ModelProperty, DowngradeNeverHurtsTheTaskItself) {
   const PetMatrix approx = scaled_pet(pet, 0.5);
   CompletionModel::Options options;
   options.approx_pet = &approx;
-  SystemSandbox sandbox(pet, {0}, 10, 0, options);
+  SystemState system(pet, {0}, 10, 0, options);
   const int depth = static_cast<int>(rng.uniform_int(3, 7));
   for (int i = 0; i < depth; ++i) {
-    sandbox.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 2)),
-                    rng.uniform_int(3, 50));
+    system.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 2)),
+                   rng.uniform_int(3, 50));
   }
-  CompletionModel& model = sandbox.model(0);
+  CompletionModel& model = system.model(0);
   const auto victim = static_cast<std::size_t>(rng.uniform_int(0, depth - 2));
   const double own_before = model.chance(victim);
-  sandbox.downgrade_task(0, victim);
+  system.downgrade_task(0, victim);
   ASSERT_GE(model.chance(victim) + 1e-9, own_before);
 }
 

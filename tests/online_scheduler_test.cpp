@@ -227,6 +227,161 @@ TEST(OnlineScheduler, RejectsBadMachineCallbacks) {
   EXPECT_EQ(finished[0], (Decision{DecisionKind::FinishOnTime, 11, 0, 0}));
 }
 
+/// Everything a rejected callback must leave untouched.
+struct Observed {
+  Tick now;
+  std::vector<Decision> decisions;
+  std::vector<TaskState> states;
+  std::vector<std::size_t> queue_sizes;
+  std::vector<bool> running;
+  std::vector<bool> up;
+
+  Observed(const OnlineScheduler& scheduler,
+           const std::vector<Decision>& last)
+      : now(scheduler.now()), decisions(last) {
+    for (TaskId id = 0; id < static_cast<TaskId>(scheduler.task_count());
+         ++id) {
+      states.push_back(scheduler.task(id).state);
+    }
+    for (const Machine& machine : scheduler.machines()) {
+      queue_sizes.push_back(machine.queue.size());
+      running.push_back(machine.running);
+      up.push_back(machine.up);
+    }
+  }
+
+  bool operator==(const Observed&) const = default;
+};
+
+TEST(OnlineScheduler, RejectsImpossibleEventsAndChangesNothing) {
+  // Two machines, capacity 2. Machine 0 runs task 0 (announced to end at
+  // t=5) with task 2 queued behind it; machine 1 holds task 1, offered a
+  // start but not confirmed; task 3 is registered for t=50.
+  const PetMatrix pet = deterministic_pet();
+  auto mapper = make_mapper("FCFS");
+  NullDropper dropper;
+  OnlineConfig config;
+  config.queue_capacity = 2;
+  OnlineScheduler scheduler(pet, {0, 0}, *mapper, dropper, config);
+  scheduler.task_arrived(0, 0, 100);
+  scheduler.task_started(0, 0, 0, /*duration=*/5);
+  scheduler.task_arrived(1, 0, 100);
+  const auto& decisions = scheduler.task_arrived(2, 0, 90);
+  ASSERT_EQ(scheduler.machine(0).queue.back(), 2);
+  ASSERT_EQ(scheduler.machine(1).queue.front(), 1);
+  const TaskId future = scheduler.register_task(0, 50, 100);
+  const Observed before(scheduler, decisions);
+
+  const auto expect_rejected = [&](const char* what, auto&& call,
+                                   const char* message = nullptr) {
+    try {
+      call();
+      ADD_FAILURE() << what << ": not rejected";
+    } catch (const std::invalid_argument& error) {
+      if (message != nullptr) {
+        EXPECT_STREQ(error.what(), message) << what;
+      }
+    }
+    EXPECT_TRUE(Observed(scheduler, decisions) == before) << what;
+  };
+
+  expect_rejected("time going backwards", [&] { scheduler.advance(1); },
+                  "time went backwards: t=1 < now=2");
+  expect_rejected("a task type outside the PET",
+                  [&] { scheduler.task_arrived(3, 99, 500); },
+                  "task type 99 out of range [0, 1)");
+  expect_rejected("an unknown pre-registered id",
+                  [&] { scheduler.task_arrived(3, TaskId{42}); });
+  expect_rejected("announcing a queued task again",
+                  [&] { scheduler.task_arrived(3, TaskId{1}); });
+  expect_rejected("announcing before the registered arrival",
+                  [&] { scheduler.task_arrived(3, future); });
+  expect_rejected("starting on a busy machine",
+                  [&] { scheduler.task_started(3, 0, 2); });
+  expect_rejected("starting a task that is not the queue head",
+                  [&] { scheduler.task_started(3, 1, 2); });
+  expect_rejected("starting a head at its deadline",
+                  [&] { scheduler.task_started(100, 1, 1); });
+  expect_rejected("finishing off the announced duration",
+                  [&] { scheduler.task_finished(4, 0); });
+  expect_rejected("finishing an idle machine",
+                  [&] { scheduler.task_finished(3, 1); },
+                  "machine 1 has no running task to finish");
+  expect_rejected("an up machine coming up",
+                  [&] { scheduler.machine_up(3, 1); },
+                  "machine 1 is already up");
+  expect_rejected("a machine outside the fleet",
+                  [&] { scheduler.machine_down(3, 99); },
+                  "machine 99 out of range [0, 2)");
+  EXPECT_EQ(scheduler.task_count(), 4u);
+
+  // A down machine rejects a second failure and any start.
+  scheduler.machine_down(3, 1);
+  const Observed down(scheduler, decisions);
+  try {
+    scheduler.machine_down(4, 1);
+    ADD_FAILURE() << "down-on-down not rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "machine 1 is already down");
+  }
+  EXPECT_THROW(scheduler.task_started(4, 1, 1), std::invalid_argument);
+  EXPECT_TRUE(Observed(scheduler, decisions) == down);
+
+  // The scheduler carries on as if the bad calls never happened.
+  const auto& finished = scheduler.task_finished(5, 0);
+  ASSERT_FALSE(finished.empty());
+  EXPECT_EQ(finished[0], (Decision{DecisionKind::FinishOnTime, 5, 0, 0}));
+}
+
+/// Assigns the batch front once per mapping event, breaking the
+/// assign_task precondition that `mode` names.
+class RogueMapper final : public Mapper {
+ public:
+  enum class Mode { FullMachine, DownMachine, NotInBatch, UnknownMachine };
+  explicit RogueMapper(Mode mode) : mode_(mode) {}
+  std::string_view name() const override { return "Rogue"; }
+  void map_tasks(SystemView& view, SchedulerOps& ops) override {
+    if (view.batch_queue->empty()) return;
+    const TaskId task = view.batch_queue->front();
+    switch (mode_) {
+      case Mode::FullMachine: ops.assign_task(task, 0); break;
+      case Mode::DownMachine: ops.assign_task(task, 1); break;
+      case Mode::NotInBatch: ops.assign_task(task + 1, 0); break;
+      case Mode::UnknownMachine: ops.assign_task(task, 7); break;
+    }
+  }
+
+ private:
+  Mode mode_;
+};
+
+TEST(OnlineScheduler, RogueMapperIsRejectedByItsOps) {
+  // Capacity 1 and machine 1 down. The full-machine rogue fills machine 0
+  // with a first, legal assignment; every rogue then breaks an assign_task
+  // precondition on the next arrival, and the op throws before it changes
+  // anything: the task stays unmapped in the batch, the queues unchanged.
+  const PetMatrix pet = deterministic_pet();
+  NullDropper dropper;
+  OnlineConfig config;
+  config.queue_capacity = 1;
+  for (const auto mode :
+       {RogueMapper::Mode::FullMachine, RogueMapper::Mode::DownMachine,
+        RogueMapper::Mode::NotInBatch, RogueMapper::Mode::UnknownMachine}) {
+    const bool fill = mode == RogueMapper::Mode::FullMachine;
+    RogueMapper rogue(mode);
+    OnlineScheduler scheduler(pet, {0, 0}, rogue, dropper, config);
+    scheduler.machine_down(0, 1);
+    if (fill) scheduler.task_arrived(0, 0, 100);
+    const auto victim = static_cast<TaskId>(scheduler.task_count());
+    EXPECT_THROW(scheduler.task_arrived(1, 0, 100), std::invalid_argument)
+        << static_cast<int>(mode);
+    EXPECT_EQ(scheduler.task(victim).state, TaskState::Unmapped);
+    EXPECT_EQ(scheduler.unmapped_count(), 1u);
+    EXPECT_EQ(scheduler.machine(0).queue.size(), fill ? 1u : 0u);
+    EXPECT_TRUE(scheduler.machine(1).queue.empty());
+  }
+}
+
 TEST(OnlineScheduler, RejectsBadConstruction) {
   const PetMatrix pet = deterministic_pet();
   auto mapper = make_mapper("FCFS");

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/proactive_heuristic_dropper.hpp"
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "prob/convolution.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -25,26 +25,26 @@ PetMatrix dropper_pet() {
 
 TEST(OptimalDropper, NoDropsWhenEverythingIsCertain) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
+  SystemState system(pet, {0}, 6);
   for (int i = 0; i < 5; ++i) {
-    sandbox.enqueue(0, /*type=*/1, /*deadline=*/100 + i);
+    system.enqueue(0, /*type=*/1, /*deadline=*/100 + i);
   }
   OptimalDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
 }
 
 TEST(OptimalDropper, DropsHopelessBlockingHead) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  const TaskId big = sandbox.enqueue(0, 0, 5);
-  sandbox.enqueue(0, 1, 3);
-  sandbox.enqueue(0, 1, 4);
+  SystemState system(pet, {0}, 6);
+  const TaskId big = system.enqueue(0, 0, 5);
+  system.enqueue(0, 1, 3);
+  system.enqueue(0, 1, 4);
   OptimalDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.dropped.size(), 1u);
-  EXPECT_EQ(sandbox.dropped.front(), big);
-  EXPECT_NEAR(sandbox.model(0).instantaneous_robustness(), 2.0, 1e-12);
+  dropper.run(system.view(), system);
+  ASSERT_EQ(system.dropped().size(), 1u);
+  EXPECT_EQ(system.dropped().front(), big);
+  EXPECT_NEAR(system.model(0).instantaneous_robustness(), 2.0, 1e-12);
 }
 
 TEST(OptimalDropper, CollectiveDropBeatsGreedySinglePass) {
@@ -54,55 +54,55 @@ TEST(OptimalDropper, CollectiveDropBeatsGreedySinglePass) {
   // *collective* view finds that dropping both rescues the smalls.
   const PetMatrix pet = dropper_pet();
 
-  SystemSandbox greedy(pet, {0}, 6);
+  SystemState greedy(pet, {0}, 6);
   greedy.enqueue(0, 0, 5);
   greedy.enqueue(0, 0, 6);
   greedy.enqueue(0, 1, 3);
   greedy.enqueue(0, 1, 4);
   ProactiveHeuristicDropper heuristic;
   heuristic.run(greedy.view(), greedy);
-  EXPECT_TRUE(greedy.dropped.empty());
+  EXPECT_TRUE(greedy.dropped().empty());
   EXPECT_NEAR(greedy.model(0).instantaneous_robustness(), 0.0, 1e-12);
 
-  SystemSandbox optimal(pet, {0}, 6);
+  SystemState optimal(pet, {0}, 6);
   optimal.enqueue(0, 0, 5);
   optimal.enqueue(0, 0, 6);
   optimal.enqueue(0, 1, 3);
   optimal.enqueue(0, 1, 4);
   OptimalDropper dropper;
   dropper.run(optimal.view(), optimal);
-  EXPECT_EQ(optimal.dropped.size(), 2u);
+  EXPECT_EQ(optimal.dropped().size(), 2u);
   EXPECT_NEAR(optimal.model(0).instantaneous_robustness(), 2.0, 1e-12);
 }
 
 TEST(OptimalDropper, NeverDropsLastOrRunningTask) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  const TaskId running = sandbox.enqueue(0, 0, 5);   // hopeless but running
-  sandbox.enqueue(0, 0, 6);                          // hopeless pending
-  const TaskId last = sandbox.enqueue(0, 0, 7);      // hopeless last
-  sandbox.set_running(0, 0);
+  SystemState system(pet, {0}, 6);
+  const TaskId running = system.enqueue(0, 0, 5);   // hopeless but running
+  system.enqueue(0, 0, 6);                          // hopeless pending
+  const TaskId last = system.enqueue(0, 0, 7);      // hopeless last
+  system.set_running(0, 0);
   OptimalDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  for (TaskId dropped : sandbox.dropped) {
+  dropper.run(system.view(), system);
+  for (TaskId dropped : system.dropped()) {
     EXPECT_NE(dropped, running);
     EXPECT_NE(dropped, last);
   }
-  EXPECT_EQ(sandbox.machine(0).queue.front(), running);
-  EXPECT_EQ(sandbox.machine(0).queue.back(), last);
+  EXPECT_EQ(system.machine(0).queue.front(), running);
+  EXPECT_EQ(system.machine(0).queue.back(), last);
 }
 
 TEST(OptimalDropper, PrefersFewerDropsOnTies) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
+  SystemState system(pet, {0}, 6);
   // Certain small tasks with huge slack: dropping any subset only removes
   // successful tasks; robustness is maximised by the empty subset.
-  sandbox.enqueue(0, 1, 1000);
-  sandbox.enqueue(0, 1, 1001);
-  sandbox.enqueue(0, 1, 1002);
+  system.enqueue(0, 1, 1000);
+  system.enqueue(0, 1, 1001);
+  system.enqueue(0, 1, 1002);
   OptimalDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
 }
 
 TEST(OptimalDropper, AtLeastAsGoodAsHeuristicOnRandomQueues) {
@@ -115,8 +115,8 @@ TEST(OptimalDropper, AtLeastAsGoodAsHeuristicOnRandomQueues) {
       specs.emplace_back(static_cast<TaskTypeId>(rng.uniform_int(0, 3)),
                          rng.uniform_int(2, 30));
     }
-    SystemSandbox for_heuristic(pet, {0}, depth + 1);
-    SystemSandbox for_optimal(pet, {0}, depth + 1);
+    SystemState for_heuristic(pet, {0}, depth + 1);
+    SystemState for_optimal(pet, {0}, depth + 1);
     for (const auto& [type, deadline] : specs) {
       for_heuristic.enqueue(0, type, deadline);
       for_optimal.enqueue(0, type, deadline);
@@ -135,11 +135,11 @@ TEST(OptimalDropper, AtLeastAsGoodAsHeuristicOnRandomQueues) {
 /// for every subset, scanning masks in ascending order with the same
 /// epsilon tie-break. The prefix-sharing enumeration must select the
 /// identical subset on every queue.
-std::vector<TaskId> reference_best_drops(SystemSandbox& sandbox) {
-  const Machine& machine = sandbox.machine(0);
-  CompletionModel& model = sandbox.model(0);
-  const std::vector<Task>& tasks = *sandbox.view().tasks;
-  const PetMatrix& pet = *sandbox.view().pet;
+std::vector<TaskId> reference_best_drops(SystemState& system) {
+  const Machine& machine = system.machine(0);
+  CompletionModel& model = system.model(0);
+  const std::vector<Task>& tasks = *system.view().tasks;
+  const PetMatrix& pet = *system.view().pet;
 
   std::vector<std::size_t> droppable;
   for (std::size_t pos = machine.first_pending_pos();
@@ -208,8 +208,8 @@ TEST(OptimalDropper, MatchesDirectSubsetEvaluationOnRandomQueues) {
     }
     const bool running = rng.uniform01() < 0.5;
 
-    SystemSandbox expected(pet, {0}, depth + 1);
-    SystemSandbox actual(pet, {0}, depth + 1);
+    SystemState expected(pet, {0}, depth + 1);
+    SystemState actual(pet, {0}, depth + 1);
     for (const auto& [type, deadline] : specs) {
       expected.enqueue(0, type, deadline);
       actual.enqueue(0, type, deadline);
@@ -223,7 +223,7 @@ TEST(OptimalDropper, MatchesDirectSubsetEvaluationOnRandomQueues) {
     OptimalDropper dropper;
     dropper.run(actual.view(), actual);
     // The dropper applies back-to-front; compare as sets of task ids.
-    std::vector<TaskId> got = actual.dropped;
+    std::vector<TaskId> got = actual.dropped();
     std::sort(got.begin(), got.end());
     std::vector<TaskId> want_sorted = want;
     std::sort(want_sorted.begin(), want_sorted.end());
@@ -233,16 +233,16 @@ TEST(OptimalDropper, MatchesDirectSubsetEvaluationOnRandomQueues) {
 
 TEST(OptimalDropper, SecondRunOnUnchangedQueueIsIdempotent) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 0, 5);
-  sandbox.enqueue(0, 0, 6);
-  sandbox.enqueue(0, 1, 3);
-  sandbox.enqueue(0, 1, 4);
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 0, 5);
+  system.enqueue(0, 0, 6);
+  system.enqueue(0, 1, 3);
+  system.enqueue(0, 1, 4);
   OptimalDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  const std::size_t after_first = sandbox.dropped.size();
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), after_first);
+  dropper.run(system.view(), system);
+  const std::size_t after_first = system.dropped().size();
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), after_first);
 }
 
 TEST(OptimalDropper, NeverDecreasesInstantaneousRobustness) {
@@ -250,15 +250,15 @@ TEST(OptimalDropper, NeverDecreasesInstantaneousRobustness) {
   for (std::uint64_t seed = 100; seed < 115; ++seed) {
     Rng rng(seed);
     const int depth = static_cast<int>(rng.uniform_int(2, 6));
-    SystemSandbox sandbox(pet, {0}, depth + 1);
+    SystemState system(pet, {0}, depth + 1);
     for (int i = 0; i < depth; ++i) {
-      sandbox.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 3)),
-                      rng.uniform_int(2, 30));
+      system.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 3)),
+                     rng.uniform_int(2, 30));
     }
-    const double before = sandbox.model(0).instantaneous_robustness();
+    const double before = system.model(0).instantaneous_robustness();
     OptimalDropper dropper;
-    dropper.run(sandbox.view(), sandbox);
-    EXPECT_GE(sandbox.model(0).instantaneous_robustness() + 1e-9, before)
+    dropper.run(system.view(), system);
+    EXPECT_GE(system.model(0).instantaneous_robustness() + 1e-9, before)
         << "seed " << seed;
   }
 }

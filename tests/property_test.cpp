@@ -4,7 +4,7 @@
 
 #include "core/optimal_dropper.hpp"
 #include "core/proactive_heuristic_dropper.hpp"
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "prob/convolution.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
@@ -58,21 +58,21 @@ TEST_P(SeededProperty, DroppingNeverHurtsSuccessors) {
   Rng rng(GetParam());
   const PetMatrix pet = test::pet_of(
       {{{{2, 0.5}, {8, 0.5}}}, {{{1, 0.7}, {4, 0.3}}}, {{{5, 1.0}}}});
-  SystemSandbox sandbox(pet, {0}, 8);
+  SystemState system(pet, {0}, 8);
   const int depth = static_cast<int>(rng.uniform_int(3, 6));
   for (int i = 0; i < depth; ++i) {
-    sandbox.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 2)),
-                    rng.uniform_int(3, 40));
+    system.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 2)),
+                   rng.uniform_int(3, 40));
   }
-  CompletionModel& model = sandbox.model(0);
+  CompletionModel& model = system.model(0);
   const auto victim =
       static_cast<std::size_t>(rng.uniform_int(0, depth - 2));
   std::vector<double> before;
-  for (std::size_t pos = victim + 1; pos < sandbox.machine(0).queue.size();
+  for (std::size_t pos = victim + 1; pos < system.machine(0).queue.size();
        ++pos) {
     before.push_back(model.chance(pos));
   }
-  sandbox.drop_queued_task(0, victim);
+  system.drop_queued_task(0, victim);
   for (std::size_t i = 0; i < before.size(); ++i) {
     ASSERT_GE(model.chance(victim + i) + 1e-12, before[i])
         << "successor " << i;
@@ -85,20 +85,20 @@ TEST_P(SeededProperty, HeuristicPassNeverReducesInstantaneousRobustness) {
   Rng rng(GetParam());
   const PetMatrix pet = test::pet_of(
       {{{{2, 0.5}, {8, 0.5}}}, {{{1, 0.7}, {4, 0.3}}}, {{{5, 1.0}}}});
-  SystemSandbox sandbox(pet, {0, 0}, 8);
+  SystemState system(pet, {0, 0}, 8);
   for (const MachineId machine : {0, 1}) {
     const int depth = static_cast<int>(rng.uniform_int(2, 6));
     for (int i = 0; i < depth; ++i) {
-      sandbox.enqueue(machine, static_cast<TaskTypeId>(rng.uniform_int(0, 2)),
-                      rng.uniform_int(3, 40));
+      system.enqueue(machine, static_cast<TaskTypeId>(rng.uniform_int(0, 2)),
+                     rng.uniform_int(3, 40));
     }
   }
-  const double before = sandbox.model(0).instantaneous_robustness() +
-                        sandbox.model(1).instantaneous_robustness();
+  const double before = system.model(0).instantaneous_robustness() +
+                        system.model(1).instantaneous_robustness();
   ProactiveHeuristicDropper dropper;
-  dropper.run(sandbox.view(), sandbox);
-  const double after = sandbox.model(0).instantaneous_robustness() +
-                       sandbox.model(1).instantaneous_robustness();
+  dropper.run(system.view(), system);
+  const double after = system.model(0).instantaneous_robustness() +
+                       system.model(1).instantaneous_robustness();
   ASSERT_GE(after + 1e-9, before);
 }
 

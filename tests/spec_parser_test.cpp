@@ -44,6 +44,27 @@ TEST(SpecParser, JsonHandlesEmptyObjectAndEscapes) {
   EXPECT_EQ(map.at("name"), (std::vector<std::string>{"fig \"8\""}));
 }
 
+TEST(SpecParser, JsonRejectsNonJsonAndNestedValues) {
+  for (const char* text :
+       {R"({"a": null})", R"({"a": spec_hc})", R"({"x": tru})",
+        R"({"a": {"b": 1}})", R"({"a": [[1, 2]]})", R"({"a": [null]})",
+        R"(["a", "b"])"}) {
+    EXPECT_THROW(parse_spec_text(text), std::invalid_argument) << text;
+  }
+  // Syntax errors carry util/json's line and offset.
+  try {
+    parse_spec_text("{\"a\": 1,\n \"b\": spec_hc}");
+    ADD_FAILURE() << "bare word accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("at line 2, offset 15"),
+              std::string::npos)
+        << error.what();
+  }
+  // Repeated keys append, as in key=value input.
+  EXPECT_EQ(parse_spec_text(R"({"eta": 1, "eta": [2, 3]})").at("eta"),
+            (std::vector<std::string>{"1", "2", "3"}));
+}
+
 TEST(SpecParser, RoundTripsThroughCanonicalText) {
   const SpecMap original = {
       {"dropper", {"optimal", "heuristic"}},

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/sandbox.hpp"
+#include "online/system_state.hpp"
 #include "test_util.hpp"
 
 namespace taskdrop {
@@ -17,75 +17,75 @@ PetMatrix dropper_pet() {
 
 TEST(ThresholdDropper, StaticThresholdDropsBelowOnly) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  const TaskId coin = sandbox.enqueue(0, /*type=*/2, /*deadline=*/3);  // 0.5
-  sandbox.enqueue(0, /*type=*/1, /*deadline=*/30);                     // ~1.0
+  SystemState system(pet, {0}, 6);
+  const TaskId coin = system.enqueue(0, /*type=*/2, /*deadline=*/3);  // 0.5
+  system.enqueue(0, /*type=*/1, /*deadline=*/30);                     // ~1.0
   ThresholdDropper dropper(ThresholdDropper::Params{0.7, /*adaptive=*/false});
-  dropper.run(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.dropped.size(), 1u);
-  EXPECT_EQ(sandbox.dropped.front(), coin);
+  dropper.run(system.view(), system);
+  ASSERT_EQ(system.dropped().size(), 1u);
+  EXPECT_EQ(system.dropped().front(), coin);
 }
 
 TEST(ThresholdDropper, KeepsTasksExactlyAtThreshold) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 2, 3);  // chance exactly 0.5
-  sandbox.enqueue(0, 1, 30);
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 2, 3);  // chance exactly 0.5
+  system.enqueue(0, 1, 30);
   ThresholdDropper dropper(ThresholdDropper::Params{0.5, false});
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());  // drop requires chance < threshold
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());  // drop requires chance < threshold
 }
 
 TEST(ThresholdDropper, AdaptiveThresholdBacksOffWhenQueuesAreEmpty) {
   const PetMatrix pet = dropper_pet();
   // 4 machines with capacity 6 = 24 slots; only 2 occupied -> fill = 1/12,
   // effective threshold = 0.5/12 < the coin's 0.5 chance.
-  SystemSandbox sandbox(pet, {0, 0, 0, 0}, 6);
-  sandbox.enqueue(0, 2, 3);
-  sandbox.enqueue(0, 1, 30);
+  SystemState system(pet, {0, 0, 0, 0}, 6);
+  system.enqueue(0, 2, 3);
+  system.enqueue(0, 1, 30);
   ThresholdDropper dropper(ThresholdDropper::Params{0.5, /*adaptive=*/true});
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
 }
 
 TEST(ThresholdDropper, AdaptiveThresholdBitesWhenSaturated) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 3);
+  SystemState system(pet, {0}, 3);
   // Saturated single machine: fill = 1, effective = base.
-  sandbox.enqueue(0, 2, 3);   // 0.5 < 0.7 -> dropped
-  sandbox.enqueue(0, 1, 30);
-  sandbox.enqueue(0, 1, 31);
+  system.enqueue(0, 2, 3);   // 0.5 < 0.7 -> dropped
+  system.enqueue(0, 1, 30);
+  system.enqueue(0, 1, 31);
   ThresholdDropper dropper(ThresholdDropper::Params{0.7, true});
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.dropped.size(), 1u);
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.dropped().size(), 1u);
 }
 
 TEST(ThresholdDropper, ZeroBaseNeverDrops) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 0, 2);  // chance 0
-  sandbox.enqueue(0, 0, 3);  // chance 0
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 0, 2);  // chance 0
+  system.enqueue(0, 0, 3);  // chance 0
   ThresholdDropper dropper(ThresholdDropper::Params{0.0, false});
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_TRUE(sandbox.dropped.empty());
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
 }
 
 TEST(ThresholdDropper, ReevaluatesSuccessorsAfterEachDrop) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
+  SystemState system(pet, {0}, 6);
   // Head: big task with deadline 5 (chance 0). Behind it a small task with
   // deadline 12: blocked it has chance 0 (starts at 10, finishes 11 < 12 —
   // actually succeeds!). Use deadline 8: start 10 >= 8 -> chance 0 blocked,
   // but once the big head is dropped it becomes certain. A naive
   // fixed-order scan would drop both; re-evaluation keeps the second.
-  const TaskId big = sandbox.enqueue(0, 0, 5);
-  const TaskId small = sandbox.enqueue(0, 1, 8);
+  const TaskId big = system.enqueue(0, 0, 5);
+  const TaskId small = system.enqueue(0, 1, 8);
   ThresholdDropper dropper(ThresholdDropper::Params{0.6, false});
-  dropper.run(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.dropped.size(), 1u);
-  EXPECT_EQ(sandbox.dropped.front(), big);
-  EXPECT_EQ(sandbox.machine(0).queue.front(), small);
-  EXPECT_NEAR(sandbox.model(0).chance(0), 1.0, 1e-12);
+  dropper.run(system.view(), system);
+  ASSERT_EQ(system.dropped().size(), 1u);
+  EXPECT_EQ(system.dropped().front(), big);
+  EXPECT_EQ(system.machine(0).queue.front(), small);
+  EXPECT_NEAR(system.model(0).chance(0), 1.0, 1e-12);
 }
 
 TEST(ThresholdDropper, MayDropTheLastTaskUnlikeProactive) {
@@ -94,25 +94,25 @@ TEST(ThresholdDropper, MayDropTheLastTaskUnlikeProactive) {
   // behavioural contrast with the paper's mechanism (which excludes the
   // last task) worth pinning down.
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  sandbox.enqueue(0, 1, 30);
-  const TaskId hopeless_tail = sandbox.enqueue(0, 0, 2);
+  SystemState system(pet, {0}, 6);
+  system.enqueue(0, 1, 30);
+  const TaskId hopeless_tail = system.enqueue(0, 0, 2);
   ThresholdDropper dropper(ThresholdDropper::Params{0.5, false});
-  dropper.run(sandbox.view(), sandbox);
-  ASSERT_EQ(sandbox.dropped.size(), 1u);
-  EXPECT_EQ(sandbox.dropped.front(), hopeless_tail);
+  dropper.run(system.view(), system);
+  ASSERT_EQ(system.dropped().size(), 1u);
+  EXPECT_EQ(system.dropped().front(), hopeless_tail);
 }
 
 TEST(ThresholdDropper, SkipsRunningTask) {
   const PetMatrix pet = dropper_pet();
-  SystemSandbox sandbox(pet, {0}, 6);
-  const TaskId running = sandbox.enqueue(0, 0, 2);  // hopeless, running
-  sandbox.enqueue(0, 1, 30);
-  sandbox.set_running(0, 0);
+  SystemState system(pet, {0}, 6);
+  const TaskId running = system.enqueue(0, 0, 2);  // hopeless, running
+  system.enqueue(0, 1, 30);
+  system.set_running(0, 0);
   ThresholdDropper dropper(ThresholdDropper::Params{0.9, false});
-  dropper.run(sandbox.view(), sandbox);
-  EXPECT_EQ(sandbox.machine(0).queue.front(), running);
-  for (TaskId dropped : sandbox.dropped) EXPECT_NE(dropped, running);
+  dropper.run(system.view(), system);
+  EXPECT_EQ(system.machine(0).queue.front(), running);
+  for (TaskId dropped : system.dropped()) EXPECT_NE(dropped, running);
 }
 
 }  // namespace

@@ -13,9 +13,11 @@ layering DAG — suites may reach into any layer):
    are deliberate — see src/CMakeLists.txt) and any lower layer, never a
    higher one.
 
-2. *No assert-only validation in src/prob*: the prob layer promises real
-   (throwing) error paths that survive Release builds, so `assert(` is
-   banned there outright (static_assert stays fine).
+2. *No assert-only validation in src/prob or src/online*: the prob layer
+   and the online scheduler's public entry points (its callbacks and the
+   SchedulerOps a user-written mapper calls) promise real (throwing) error
+   paths that survive Release builds, so `assert(` is banned in both
+   modules outright (static_assert stays fine).
 
 3. *No direct convolve calls outside the prob layer*: everything above prob
    must run convolutions through the PmfWorkspace `*_into` kernels so the
@@ -218,13 +220,13 @@ def check_file(path: Path, root: Path, edges: dict) -> list:
 
     in_prob = module == "prob"
     for i, text in enumerate(code_lines):
-        if in_prob and ASSERT_RE.search(text):
+        if module in ("prob", "online") and ASSERT_RE.search(text):
             violations.append(
                 Violation(
                     path, i + 1, "prob-assert",
-                    "assert-only validation is banned in src/prob — throw "
-                    "a real exception (Release builds must reject bad "
-                    "inputs too)"))
+                    f"assert-only validation is banned in src/{module} — "
+                    "throw a real exception (Release builds must reject "
+                    "bad inputs too)"))
         if (module is not None and not in_prob
                 and DIRECT_CONVOLVE_RE.search(text)
                 and not line_allowed(raw_lines, i, ALLOW_CONVOLVE)):

@@ -476,7 +476,7 @@ int run_merge_command(const Flags& flags,
 struct StreamEvent {
   enum class Kind { Arrive, Finish, Down, Up, Advance } kind;
   Tick t = 0;
-  long long a = 0;  ///< type (arrive) or machine (finish/down/up)
+  int a = 0;        ///< type (arrive) or machine (finish/down/up)
   long long b = 0;  ///< deadline (arrive only)
 };
 
@@ -521,8 +521,13 @@ StreamEvent parse_stream_event(const std::string& line) {
     throw std::invalid_argument("trailing token '" + trailing +
                                 "' after event '" + op + "'");
   }
+  if (fields[1] < std::numeric_limits<int>::min() ||
+      fields[1] > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("operand " + std::to_string(fields[1]) +
+                                " of event '" + op + "' out of range");
+  }
   event.t = fields[0];
-  event.a = fields[1];
+  event.a = static_cast<int>(fields[1]);
   event.b = fields[2];
   return event;
 }
@@ -596,10 +601,6 @@ int run_serve_command(const Flags& flags) {
       nonnegative_int_flag(flags, "shed-machine-backlog");
   OnlineScheduler scheduler(scenario.pet, scenario.profile.machine_types,
                             *mapper, *dropper, config);
-  const auto machine_count =
-      static_cast<long long>(scenario.profile.machine_types.size());
-  const auto type_count =
-      static_cast<long long>(scenario.pet.task_type_count());
 
   // Resurrect a snapshotted daemon before touching the stream: the restored
   // scheduler continues exactly where the snapshotted one stopped, so
@@ -677,68 +678,27 @@ int run_serve_command(const Flags& flags) {
       if (first == std::string::npos || line[first] == '#') continue;
       try {
         const StreamEvent event = parse_stream_event(line);
-        const auto machine = [&]() -> MachineId {
-          if (event.a < 0 || event.a >= machine_count) {
-            throw std::invalid_argument(
-                "machine " + std::to_string(event.a) + " out of range [0, " +
-                std::to_string(machine_count) + ")");
-          }
-          return static_cast<MachineId>(event.a);
-        };
-        // Validate everything the scheduler would reject *before* calling
-        // into it: under --on-error=skip a rejected line must leave no
-        // trace in scheduler state (task_arrived in particular registers
-        // the task before its own monotonicity check could fire).
-        if (event.t < scheduler.now()) {
-          throw std::invalid_argument(
-              "time went backwards: t=" + std::to_string(event.t) +
-              " < now=" + std::to_string(scheduler.now()));
-        }
-
-        // Time the decision kernels only (callback + immediate start
+        // The scheduler validates every event and rejects it before any
+        // state changes, so under --on-error=skip a rejected line leaves no
+        // trace. Time the decision kernels only (callback + immediate start
         // confirmations); log I/O happens outside the clock so the latency
         // percentiles describe the admission service, not the disk.
         const Clock::time_point begin = Clock::now();
         const std::vector<Decision>* decisions = nullptr;
         switch (event.kind) {
-          case StreamEvent::Kind::Arrive: {
-            if (event.a < 0 || event.a >= type_count) {
-              throw std::invalid_argument(
-                  "task type " + std::to_string(event.a) +
-                  " out of range [0, " + std::to_string(type_count) + ")");
-            }
+          case StreamEvent::Kind::Arrive:
+            decisions = &scheduler.task_arrived(event.t, event.a, event.b);
             ++arrivals;
-            decisions = &scheduler.task_arrived(
-                event.t, static_cast<TaskTypeId>(event.a), event.b);
             break;
-          }
-          case StreamEvent::Kind::Finish: {
-            const MachineId m = machine();
-            if (!scheduler.machine(m).running) {
-              throw std::invalid_argument("machine " + std::to_string(m) +
-                                          " has no running task to finish");
-            }
-            decisions = &scheduler.task_finished(event.t, m);
+          case StreamEvent::Kind::Finish:
+            decisions = &scheduler.task_finished(event.t, event.a);
             break;
-          }
-          case StreamEvent::Kind::Down: {
-            const MachineId m = machine();
-            if (!scheduler.machine(m).up) {
-              throw std::invalid_argument("machine " + std::to_string(m) +
-                                          " is already down");
-            }
-            decisions = &scheduler.machine_down(event.t, m);
+          case StreamEvent::Kind::Down:
+            decisions = &scheduler.machine_down(event.t, event.a);
             break;
-          }
-          case StreamEvent::Kind::Up: {
-            const MachineId m = machine();
-            if (scheduler.machine(m).up) {
-              throw std::invalid_argument("machine " + std::to_string(m) +
-                                          " is already up");
-            }
-            decisions = &scheduler.machine_up(event.t, m);
+          case StreamEvent::Kind::Up:
+            decisions = &scheduler.machine_up(event.t, event.a);
             break;
-          }
           case StreamEvent::Kind::Advance:
             decisions = &scheduler.advance(event.t);
             break;
@@ -808,7 +768,7 @@ int run_serve_command(const Flags& flags) {
   *stats << "serve: scenario=" << to_string(kind)
          << " mapper=" << flags.get("mapper", "PAM")
          << " dropper=" << dropper_config.name()
-         << " machines=" << machine_count
+         << " machines=" << scenario.profile.machine_types.size()
          << " capacity=" << config.queue_capacity << "\n"
          << "events=" << events_seen << " decisions=" << decisions_out
          << " arrivals=" << arrivals << " drops=" << drops

@@ -100,6 +100,19 @@ class CheckLayeringTest(unittest.TestCase):
         violations, _ = self.tree.scan()
         self.assertEqual(violations, [])
 
+    def test_assert_in_online_is_flagged(self):
+        self.tree.write("src/online/system_state.cpp",
+                        "void f(bool up) { assert(up && \"down\"); }\n")
+        violations, _ = self.tree.scan()
+        self.assertEqual(self.rules_of(violations), ["prob-assert"])
+        self.assertIn("banned in src/online", violations[0].message)
+
+    def test_static_assert_in_online_is_clean(self):
+        self.tree.write("src/online/decision.hpp",
+                        "static_assert(sizeof(long) >= 4);\n")
+        violations, _ = self.tree.scan()
+        self.assertEqual(violations, [])
+
     def test_assert_outside_prob_is_allowed(self):
         self.tree.write("src/sim/engine.cpp",
                         "void f(bool ok) { assert(ok); }\n")
