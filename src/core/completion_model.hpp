@@ -52,7 +52,7 @@ class CompletionModel {
     /// fact that it has not finished yet (mass at or before `now` is
     /// discarded and the rest renormalised). The paper uses the
     /// unconditioned PMF; conditioning is this repo's extension, ablated in
-    /// bench/ablation_conditioning.
+    /// specs/ablation_conditioning.sweep.
     bool condition_running = false;
     /// Approximate-computing extension: the time-scaled PET consulted for
     /// tasks whose `approximate` flag is set. Null disables the extension.

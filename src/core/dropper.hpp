@@ -16,8 +16,8 @@ enum class DropperEngagement {
   /// "Task dropping mechanism is engaged each time a system notices a task
   /// missing its deadline" (section V-A): run only at mapping events where a
   /// deadline miss (reactive drop or late completion) was observed. Cheaper
-  /// but lets queues clog between misses — ablated in bench/
-  /// ablation_engagement.
+  /// but lets queues clog between misses — ablated in
+  /// specs/ablation_engagement.sweep.
   OnDeadlineMiss,
 };
 

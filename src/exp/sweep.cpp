@@ -140,27 +140,33 @@ std::vector<DropperVariant> droppers_from_map(const SpecMap& map) {
   for (const std::string& name : names) {
     // Cross each name with the grids that tune its kind only, so `eta`
     // lists do not multiply the threshold baseline (and vice versa).
+    // Labels render the parsed values as to_map does, so the re-expanded
+    // grid of a sharded run carries the same labels ("beta=1", not the
+    // "beta=1.0" token).
     const DropperConfig::Kind kind = DropperConfig::from_spec(name).kind;
     if (kind == DropperConfig::Kind::Heuristic ||
         kind == DropperConfig::Kind::Approx) {
       for (const std::string& eta : etas) {
         for (const std::string& beta : betas) {
+          const DropperConfig config =
+              DropperConfig::from_spec(name, {{"eta", eta}, {"beta", beta}});
           std::string label = name;
-          if (etas.size() > 1) label += " eta=" + eta;
-          if (betas.size() > 1) label += " beta=" + beta;
-          variants.push_back({std::move(label),
-                              DropperConfig::from_spec(
-                                  name, {{"eta", eta}, {"beta", beta}})});
+          if (etas.size() > 1) {
+            label += " eta=" + std::to_string(config.effective_depth);
+          }
+          if (betas.size() > 1) label += " beta=" + format_number(config.beta);
+          variants.push_back({std::move(label), config});
         }
       }
     } else if (kind == DropperConfig::Kind::Threshold) {
       for (const std::string& threshold : thresholds) {
+        const DropperConfig config = DropperConfig::from_spec(
+            name, {{"threshold", threshold}, {"adaptive", adaptive}});
         std::string label = name;
-        if (thresholds.size() > 1) label += " threshold=" + threshold;
-        variants.push_back(
-            {std::move(label),
-             DropperConfig::from_spec(name, {{"threshold", threshold},
-                                             {"adaptive", adaptive}})});
+        if (thresholds.size() > 1) {
+          label += " threshold=" + format_number(config.base_threshold);
+        }
+        variants.push_back({std::move(label), config});
       }
     } else {
       variants.push_back({name, DropperConfig::from_spec(name)});
@@ -182,13 +188,18 @@ std::vector<FailureVariant> failures_from_map(const SpecMap& map) {
   std::vector<FailureVariant> variants;
   for (const std::string& text : map.at("mtbf")) {
     const double mtbf = parse_double("mtbf", text);
+    if (mtbf < 0.0) {
+      throw std::invalid_argument(
+          "sweep key mtbf must be >= 0 (0 disables failures), got " + text);
+    }
     FailureModel model;
     if (mtbf > 0.0) {
       model.enabled = true;
       model.mean_time_between_failures = mtbf;
       model.mean_time_to_repair = mttr;
     }
-    variants.push_back({mtbf > 0.0 ? "mtbf=" + text : "off", model});
+    variants.push_back({mtbf > 0.0 ? "mtbf=" + format_number(mtbf) : "off",
+                        model});
   }
   return variants;
 }
@@ -231,11 +242,9 @@ std::string_view engagement_name(DropperEngagement engagement) {
 }
 
 std::size_t SweepSpec::cell_count() const {
-  const std::size_t pairs =
-      series.empty() ? mappers.size() * droppers.size() : series.size();
-  return scenarios.size() * levels.size() * pairs * gammas.size() *
-         queue_capacities.size() * engagements.size() * conditioning.size() *
-         failures.size();
+  return scenarios.size() * levels.size() * mappers.size() * droppers.size() *
+         gammas.size() * queue_capacities.size() * engagements.size() *
+         conditioning.size() * failures.size();
 }
 
 void SweepSpec::validate() const {
@@ -245,15 +254,13 @@ void SweepSpec::validate() const {
   require(trials >= 1, "trials must be >= 1, got " + std::to_string(trials));
   require(!scenarios.empty(), "scenario axis is empty");
   require(!levels.empty(), "levels axis is empty");
+  require(!mappers.empty(), "mapper axis is empty");
+  require(!droppers.empty(), "dropper axis is empty");
   require(!gammas.empty(), "gamma axis is empty");
   require(!queue_capacities.empty(), "capacity axis is empty");
   require(!engagements.empty(), "engagement axis is empty");
   require(!conditioning.empty(), "conditioning axis is empty");
   require(!failures.empty(), "failures axis is empty");
-  if (series.empty()) {
-    require(!mappers.empty(), "mapper axis is empty");
-    require(!droppers.empty(), "dropper axis is empty");
-  }
   for (const SweepLevel& level : levels) {
     require(level.n_tasks >= 1,
             "level " + level.label + ": n_tasks must be >= 1");
@@ -264,6 +271,11 @@ void SweepSpec::validate() const {
     require(level.label.find(':') == std::string::npos,
             "level label '" + level.label + "' must not contain ':'");
   }
+  // Deadlines are arrival + type mean + gamma x grand mean: a negative
+  // slack would set deadlines before the work could finish.
+  for (const double gamma : gammas) {
+    require(gamma >= 0.0, "gamma must be >= 0, got " + format_number(gamma));
+  }
   for (const int capacity : queue_capacities) {
     require(capacity >= 1, "queue capacity must be >= 1, got " +
                                std::to_string(capacity));
@@ -273,11 +285,7 @@ void SweepSpec::validate() const {
   require(candidate_window >= 1, "candidate_window must be >= 1");
   // Registry-check every mapper up front so the error carries the
   // available set and no pool worker can throw mid-sweep.
-  if (series.empty()) {
-    for (const std::string& mapper : mappers) make_mapper(mapper);
-  } else {
-    for (const SeriesVariant& variant : series) make_mapper(variant.mapper);
-  }
+  for (const std::string& mapper : mappers) make_mapper(mapper);
 }
 
 SweepSpec SweepSpec::from_map(const SpecMap& map) {
@@ -424,61 +432,50 @@ SpecMap SweepSpec::to_map() const {
 }
 
 std::vector<SweepCell> expand(const SweepSpec& spec) {
-  // Materialised (mapper, dropper) pairs: the cross product, or the
-  // explicit series list when given.
-  std::vector<SeriesVariant> pairs;
-  if (spec.series.empty()) {
-    for (const std::string& mapper : spec.mappers) {
-      for (const DropperVariant& dropper : spec.droppers) {
-        pairs.push_back({dropper.label, mapper, dropper.config});
-      }
-    }
-  } else {
-    pairs = spec.series;
-  }
-
   std::vector<SweepCell> cells;
   cells.reserve(spec.cell_count());
   for (const ScenarioKind scenario : spec.scenarios) {
     for (const SweepLevel& level : spec.levels) {
-      for (const SeriesVariant& pair : pairs) {
-        for (const double gamma : spec.gammas) {
-          for (const int capacity : spec.queue_capacities) {
-            for (const DropperEngagement engagement : spec.engagements) {
-              for (const bool conditioned : spec.conditioning) {
-                for (const FailureVariant& failure : spec.failures) {
-                  SweepCell cell;
-                  cell.point.scenario = std::string(to_string(scenario));
-                  cell.point.level = level.label;
-                  cell.point.mapper = pair.mapper;
-                  cell.point.dropper = pair.label;
-                  cell.point.gamma = format_number(gamma);
-                  cell.point.capacity = std::to_string(capacity);
-                  cell.point.engagement =
-                      std::string(engagement_name(engagement));
-                  cell.point.conditioning =
-                      conditioned ? "conditioned" : "unconditioned";
-                  cell.point.failures = failure.label;
+      for (const std::string& mapper : spec.mappers) {
+        for (const DropperVariant& dropper : spec.droppers) {
+          for (const double gamma : spec.gammas) {
+            for (const int capacity : spec.queue_capacities) {
+              for (const DropperEngagement engagement : spec.engagements) {
+                for (const bool conditioned : spec.conditioning) {
+                  for (const FailureVariant& failure : spec.failures) {
+                    SweepCell cell;
+                    cell.point.scenario = std::string(to_string(scenario));
+                    cell.point.level = level.label;
+                    cell.point.mapper = mapper;
+                    cell.point.dropper = dropper.label;
+                    cell.point.gamma = format_number(gamma);
+                    cell.point.capacity = std::to_string(capacity);
+                    cell.point.engagement =
+                        std::string(engagement_name(engagement));
+                    cell.point.conditioning =
+                        conditioned ? "conditioned" : "unconditioned";
+                    cell.point.failures = failure.label;
 
-                  ExperimentConfig& config = cell.config;
-                  config.scenario = scenario;
-                  config.mapper = pair.mapper;
-                  config.dropper = pair.dropper;
-                  config.engagement = engagement;
-                  config.condition_running = conditioned;
-                  config.workload.n_tasks = level.n_tasks;
-                  config.workload.oversubscription = level.oversubscription;
-                  config.workload.gamma = gamma;
-                  config.workload.pattern = spec.pattern;
-                  config.queue_capacity = capacity;
-                  config.failures = failure.model;
-                  config.approx = spec.approx;
-                  config.trials = spec.trials;
-                  config.seed = spec.seed;
-                  config.exclude_head = spec.exclude_head;
-                  config.exclude_tail = spec.exclude_tail;
-                  config.candidate_window = spec.candidate_window;
-                  cells.push_back(std::move(cell));
+                    ExperimentConfig& config = cell.config;
+                    config.scenario = scenario;
+                    config.mapper = mapper;
+                    config.dropper = dropper.config;
+                    config.engagement = engagement;
+                    config.condition_running = conditioned;
+                    config.workload.n_tasks = level.n_tasks;
+                    config.workload.oversubscription = level.oversubscription;
+                    config.workload.gamma = gamma;
+                    config.workload.pattern = spec.pattern;
+                    config.queue_capacity = capacity;
+                    config.failures = failure.model;
+                    config.approx = spec.approx;
+                    config.trials = spec.trials;
+                    config.seed = spec.seed;
+                    config.exclude_head = spec.exclude_head;
+                    config.exclude_tail = spec.exclude_tail;
+                    config.candidate_window = spec.candidate_window;
+                    cells.push_back(std::move(cell));
+                  }
                 }
               }
             }
@@ -494,12 +491,8 @@ std::vector<std::string> active_axes_of(const SweepSpec& spec) {
   std::vector<std::string> axes;
   if (spec.scenarios.size() > 1) axes.push_back("scenario");
   if (spec.levels.size() > 1) axes.push_back("level");
-  if (spec.series.empty() ? spec.mappers.size() > 1 : false) {
-    axes.push_back("mapper");
-  }
-  if ((spec.series.empty() ? spec.droppers.size() : spec.series.size()) > 1) {
-    axes.push_back("dropper");
-  }
+  if (spec.mappers.size() > 1) axes.push_back("mapper");
+  if (spec.droppers.size() > 1) axes.push_back("dropper");
   if (spec.gammas.size() > 1) axes.push_back("gamma");
   if (spec.queue_capacities.size() > 1) axes.push_back("capacity");
   if (spec.engagements.size() > 1) axes.push_back("engagement");
@@ -541,11 +534,6 @@ SpecMap canonical_spec_map(const SweepSpec& spec) {
   // grid of the same keys and size whose re-expansion *orders* cells
   // differently. Demand identity up front instead of corrupting the
   // merge silently.
-  if (!spec.series.empty()) {
-    throw std::invalid_argument(
-        "sharded sweeps need a grid spec: series lists have no to_map "
-        "rendering for the shard header");
-  }
   SpecMap map = spec.to_map();
   const std::vector<SweepCell> cells = expand(spec);
   const SweepSpec reparsed = SweepSpec::from_map(map);

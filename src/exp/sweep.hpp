@@ -22,7 +22,8 @@ struct SweepLevel {
   double oversubscription = 3.0;
 };
 
-/// One dropper axis entry: a labelled DropperConfig ("PAM+Optimal", ...).
+/// One dropper axis entry: a labelled DropperConfig ("optimal",
+/// "heuristic eta=2", ...).
 struct DropperVariant {
   std::string label;
   DropperConfig config;
@@ -32,16 +33,6 @@ struct DropperVariant {
 struct FailureVariant {
   std::string label;
   FailureModel model;
-};
-
-/// One paired (mapper, dropper) series. When a figure's series differ in
-/// mapper and dropper at once (Fig. 9's MM+ReactDrop vs PAM+Heuristic),
-/// the cross product would run cells nobody reports; `SweepSpec::series`
-/// replaces the two axes with this explicit list instead.
-struct SeriesVariant {
-  std::string label;
-  std::string mapper;
-  DropperConfig dropper;
 };
 
 DropperEngagement engagement_from_name(const std::string& name);
@@ -66,8 +57,6 @@ struct SweepSpec {
   std::vector<std::string> mappers = {"PAM"};
   std::vector<DropperVariant> droppers = {
       {"heuristic", DropperConfig::heuristic()}};
-  /// When non-empty, replaces the mappers x droppers cross product.
-  std::vector<SeriesVariant> series;
   std::vector<double> gammas = {4.0};
   std::vector<int> queue_capacities = {6};
   std::vector<DropperEngagement> engagements = {
@@ -88,14 +77,16 @@ struct SweepSpec {
   std::size_t cell_count() const;
 
   /// Rejects empty axes, trials < 1, non-positive task counts /
-  /// oversubscription / capacities and unknown mapper names, with an error
-  /// naming the offending key. Called by run_sweep.
+  /// oversubscription / capacities, negative gammas and unknown mapper
+  /// names, with an error naming the offending key. Called by run_sweep.
   void validate() const;
 
   /// Builds a spec from parsed text (see util/spec_parser.hpp for the
   /// accepted syntaxes). Every name goes through the registries —
   /// scenario_from_name, make_mapper, DropperConfig::from_spec — so errors
   /// list the available sets. Unknown keys throw, listing the known ones.
+  /// Axis labels render parsed values the way to_map does ("beta=1" for
+  /// `beta = 1.0`), so a from_map-built grid re-expands to identical cells.
   static SweepSpec from_map(const SpecMap& map);
 
   /// Canonical SpecMap rendering; from_map(to_map()) is a fixpoint. The
@@ -221,8 +212,8 @@ struct SweepOptions {
   /// Optional externally shared cache (e.g. across several specs).
   ScenarioCache* cache = nullptr;
   /// When engaged, run only this shard's (cell, trial) units. Requires a
-  /// grid spec whose to_map rendering is a from_map fixpoint (no hand-built
-  /// series lists), so the merge can re-expand identical cells.
+  /// spec whose to_map rendering is a from_map fixpoint, so the merge can
+  /// re-expand identical cells.
   std::optional<ShardSpec> shard;
   /// When engaged, run only the units in this contiguous range (mutually
   /// exclusive with `shard`; same canonical-spec requirement). The report
@@ -253,8 +244,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options = {});
 std::vector<std::string> active_axes_of(const SweepSpec& spec);
 
 /// The canonical to_map rendering a mergeable (sharded or leased) run may
-/// publish as its header: requires a grid spec (no series lists) whose
-/// re-expansion through from_map reproduces the grid cell for cell —
+/// publish as its header: requires a spec whose re-expansion through
+/// from_map reproduces the grid cell for cell —
 /// merging attributes trial payloads by cell index, so anything weaker
 /// would corrupt the merge silently. Throws std::invalid_argument when the
 /// spec has no such rendering.

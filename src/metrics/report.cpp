@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -146,6 +147,18 @@ void write_cell_summaries_json(std::ostream& os, const ExperimentResult& r) {
   write_summary_json(os, "normalized_cost", r.normalized_cost);
   os << ", ";
   write_summary_json(os, "reactive_share_pct", r.reactive_share);
+  // The per-trial counters (dropper invocations, tasks lost to failure,
+  // approx completions, ...) summarised the same way.
+  for (const TrialField& field : kTrialFields) {
+    if (field.integer == nullptr) continue;
+    std::vector<double> values;
+    values.reserve(r.trials.size());
+    for (const TrialMetrics& trial : r.trials) {
+      values.push_back(static_cast<double>(trial.*field.integer));
+    }
+    os << ", ";
+    write_summary_json(os, field.key, summarize(values));
+  }
   os << '}';
 }
 

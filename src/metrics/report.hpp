@@ -28,7 +28,9 @@ Table sweep_table(const SweepReport& report);
 void write_sweep_csv(std::ostream& os, const SweepReport& report);
 
 /// Machine-readable dump (schema "taskdrop-sweep/v2"): every cell's full
-/// axis point, the resolved config, and mean/ci95 of each summary metric.
+/// axis point, the resolved config, and mean/ci95 of each summary metric
+/// and of each integer per-trial counter (`dropper_invocations`,
+/// `lost_to_failure`, `approx_on_time`, ...).
 /// All numbers are emitted with the shortest round-trippable rendering;
 /// non-finite summary values become null so the document stays valid JSON.
 ///

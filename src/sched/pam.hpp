@@ -22,7 +22,7 @@ namespace taskdrop {
 /// Construct with `defer_threshold > 0` to restore Gentry et al.'s
 /// deferring: a task whose best chance of success falls below the threshold
 /// stays in the batch queue this round, waiting for a better slot — the
-/// "PAMD" registry entry, ablated in bench/ablation_deferral.
+/// "PAMD" registry entry, ablated in specs/ablation_deferral.sweep.
 ///
 /// Phase-2 floor. The phase-2 key depends only on the task's type and on
 /// the machine phase 1 picks, so the lexicographically lowest key any free

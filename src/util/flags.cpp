@@ -17,9 +17,6 @@ Flags::Flags(int argc, const char* const* argv) {
       values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
     }
   }
-  if (const char* full = std::getenv("REPRO_FULL"); full && full[0] == '1') {
-    values_.emplace("full", "1");
-  }
 }
 
 bool Flags::has(const std::string& key) const { return values_.count(key) != 0; }

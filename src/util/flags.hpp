@@ -7,12 +7,10 @@
 
 namespace taskdrop {
 
-/// Tiny command-line flag parser for the bench and example binaries.
+/// Tiny command-line flag parser for the CLI and the example binaries.
 ///
 /// Accepted syntax: `--key=value` and bare `--switch` (value "1"). Anything
-/// else is ignored, which lets google-benchmark flags coexist in the same
-/// argv. The environment variable REPRO_FULL=1 is folded in as `--full`,
-/// so `for b in build/bench/*; do $b; done` can be scaled up globally.
+/// else is ignored; strict consumers check keys().
 class Flags {
  public:
   Flags(int argc, const char* const* argv);

@@ -1,10 +1,9 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <iomanip>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -19,14 +18,16 @@ std::string format_fixed(double value, int precision) {
 std::string format_double(double value) {
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0.0 ? "inf" : "-inf";
-  std::ostringstream oss;
-  for (int digits = 1; digits <= std::numeric_limits<double>::max_digits10;
-       ++digits) {
-    oss.str("");
-    oss << std::setprecision(digits) << value;
-    if (std::strtod(oss.str().c_str(), nullptr) == value) break;
-  }
-  return oss.str();
+  // Every integer below 2^53 is exact in plain digits; the shortest form
+  // alone would render 100000 as "1e+05".
+  const bool integral =
+      std::fabs(value) < 9007199254740992.0 && value == std::trunc(value);
+  char buffer[32];
+  const std::to_chars_result result =
+      integral ? std::to_chars(buffer, buffer + sizeof(buffer), value,
+                               std::chars_format::fixed)
+               : std::to_chars(buffer, buffer + sizeof(buffer), value);
+  return std::string(buffer, result.ptr);
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}

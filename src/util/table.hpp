@@ -6,9 +6,9 @@
 
 namespace taskdrop {
 
-/// Minimal text-table builder used by the bench binaries to print the rows
-/// and series of the paper's figures. Cells are strings; numeric helpers
-/// format with fixed precision so tables diff cleanly between runs.
+/// Minimal text-table builder behind the CLI's metric tables and the sweep
+/// report. Cells are strings; numeric helpers format with fixed precision
+/// so tables diff cleanly between runs.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -39,11 +39,11 @@ class Table {
 std::string format_fixed(double value, int precision);
 
 /// Shortest decimal rendering of `value` that parses back to the same bits
-/// ("4", "2.5", "0.1234567"): the fewest significant digits (up to
-/// max_digits10) whose strtod round-trip is exact, so spec serialisation is
-/// a fixpoint for any finite double. Non-finite values render as "inf",
-/// "-inf" or "nan"; emitters targeting formats without those literals
-/// (JSON) must special-case them.
+/// ("4", "2.5", "0.1234567", "1e+22"): integers below 2^53 as plain digits
+/// ("100000"), every other finite value in std::to_chars' shortest
+/// round-trip form, so spec serialisation is a fixpoint for any finite
+/// double. Non-finite values render as "inf", "-inf" or "nan"; emitters
+/// targeting formats without those literals (JSON) must special-case them.
 std::string format_double(double value);
 
 }  // namespace taskdrop

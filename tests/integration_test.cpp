@@ -1,10 +1,19 @@
-// End-to-end tests across modules: experiment harness, figure generators,
-// and the paper's headline qualitative claims at reduced scale.
+// End-to-end tests across modules: experiment harness, the figure and
+// ablation sweep specs, and the paper's headline qualitative claims at
+// reduced scale.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <ostream>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "exp/experiment.hpp"
-#include "exp/figures.hpp"
+#include "exp/sweep.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
 
 namespace taskdrop {
 namespace {
@@ -143,78 +152,163 @@ TEST(PaperClaims, HomogeneousSystemAlsoBenefits) {
   EXPECT_GT(proactive.robustness.mean, reactive.robustness.mean + 5.0);
 }
 
-// --------------------------- figure smoke ---------------------------
+// ------------------------ figure and ablation specs ------------------------
+//
+// One parameterized case per committed specs/*.sweep file, so a spec that
+// fails to parse, drifts from its calibration or breaks at run time is named
+// on its own and leaves the other specs' results standing.
 
-FigureScale tiny_scale() {
-  FigureScale scale;
-  scale.tasks_divisor = 50;  // 400/600/800 tasks
-  scale.trials = 2;
-  return scale;
+/// What one committed spec file must expand to.
+struct SpecFileCase {
+  std::string name;                 ///< file stem under specs/
+  std::size_t cells;                ///< cell_count() of the parsed spec
+  std::vector<std::string> levels;  ///< each `levels` entry; empty: not a figure
+};
+
+std::vector<SpecFileCase> spec_file_cases() {
+  const std::vector<std::string> three = {"20k:2000:2.5", "30k:3000:3",
+                                          "40k:4000:3.5"};
+  const std::vector<std::string> mid = {"30k:3000:3"};
+  return {
+      {"fig5", 15, three},
+      {"fig6", 21, three},
+      {"fig7a", 6, mid},
+      {"fig7b", 8, mid},
+      {"fig8", 9, three},
+      {"fig9", 18, three},
+      {"fig10", 6, {"20k:2000:1.5"}},
+      {"ablation_approx", 9, three},
+      {"ablation_conditioning", 6, three},
+      {"ablation_deferral", 4, mid},
+      {"ablation_engagement", 6, three},
+      {"ablation_failures", 10, mid},
+      {"ablation_gamma", 12, mid},
+      {"ablation_queue_capacity", 10, mid},
+      {"grid", 36, {}},
+      {"smoke", 4, {}},
+  };
 }
 
-TEST(Figures, LevelsScaleWithDivisor) {
-  FigureScale scale;
-  scale.tasks_divisor = 10;
-  const auto levels = oversubscription_levels(scale);
-  ASSERT_EQ(levels.size(), 3u);
-  EXPECT_EQ(levels[0].label, "20k");
-  EXPECT_EQ(levels[0].n_tasks, 2000);
-  EXPECT_LT(levels[0].oversubscription, levels[2].oversubscription);
+std::vector<SpecFileCase> figure_cases() {
+  std::vector<SpecFileCase> figures;
+  for (SpecFileCase& spec_case : spec_file_cases()) {
+    if (!spec_case.levels.empty()) figures.push_back(std::move(spec_case));
+  }
+  return figures;
 }
 
-TEST(Figures, FromFlagsHonoursFullAndOverrides) {
-  const char* argv[] = {"prog", "--full", "--trials=5"};
-  const Flags flags(3, argv);
-  const FigureScale scale = FigureScale::from_flags(flags);
-  EXPECT_EQ(scale.tasks_divisor, 1);
-  EXPECT_EQ(scale.trials, 5);  // explicit override wins over --full's 30
+/// Names a case by its file, so ctest lists e.g. `.../SpecFile.X/fig5`.
+void PrintTo(const SpecFileCase& spec_case, std::ostream* out) {
+  *out << spec_case.name;
 }
 
-TEST(Figures, Fig7aProducesAllSeries) {
-  const Table table = fig7a_hetero_mappers(tiny_scale());
-  EXPECT_EQ(table.row_count(), 6u);  // 3 mappers x {Heuristic, ReactDrop}
-  EXPECT_EQ(table.headers().size(), 4u);
+SweepSpec load_spec(const std::string& name) {
+  return SweepSpec::from_map(parse_spec_file(
+      (std::filesystem::path(TASKDROP_SPECS_DIR) / (name + ".sweep"))
+          .string()));
 }
 
-TEST(Figures, Fig8CoversAllVariantsAndLevels) {
-  const Table table = fig8_dropping_variants(tiny_scale());
-  EXPECT_EQ(table.row_count(), 9u);  // 3 levels x 3 variants
+/// Each level as its `levels` entry, for comparing a spec's calibration.
+std::vector<std::string> level_entries(const SweepSpec& spec) {
+  std::vector<std::string> entries;
+  for (const SweepLevel& level : spec.levels) {
+    entries.push_back(level.label + ":" + std::to_string(level.n_tasks) + ":" +
+                      format_double(level.oversubscription));
+  }
+  return entries;
 }
 
-TEST(Figures, Fig10RunsTheVideoScenario) {
-  const Table table = fig10_video(tiny_scale());
-  EXPECT_EQ(table.row_count(), 6u);
+/// Runs a figure spec at tiny scale: 400-800 tasks, enough to leave a
+/// measured window between the 100-task warm-up and cool-down exclusions,
+/// and 2 trials.
+SweepReport run_tiny(SweepSpec spec) {
+  for (SweepLevel& level : spec.levels) level.n_tasks /= 5;
+  spec.trials = 2;
+  return run_sweep(spec);
 }
 
-TEST(Figures, ApproxAblationReportsUtilityColumn) {
-  const Table table = ablation_approx(tiny_scale());
-  EXPECT_EQ(table.row_count(), 9u);  // 3 levels x 3 mechanisms
-  // ReactDrop and drop-only rows must report utility == robustness.
-  for (const auto& row : table.rows()) {
-    if (row[1] == "ReactDrop" || row[1] == "Heuristic (drop)") {
-      EXPECT_EQ(row[2], row[3]) << row[0] << " " << row[1];
+TEST(SpecFiles, TableListsEveryCommittedSpec) {
+  std::set<std::string> committed;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(TASKDROP_SPECS_DIR)) {
+    if (entry.path().extension() == ".sweep") {
+      committed.insert(entry.path().stem().string());
+    }
+  }
+  std::set<std::string> listed;
+  for (const SpecFileCase& spec_case : spec_file_cases()) {
+    listed.insert(spec_case.name);
+  }
+  EXPECT_EQ(committed, listed);
+}
+
+class SpecFile : public ::testing::TestWithParam<SpecFileCase> {};
+
+TEST_P(SpecFile, CarriesItsGridAndLevels) {
+  const SpecFileCase& expected = GetParam();
+  const SweepSpec spec = load_spec(expected.name);
+  EXPECT_EQ(spec.cell_count(), expected.cells);
+  if (!expected.levels.empty()) {
+    EXPECT_EQ(level_entries(spec), expected.levels);
+    EXPECT_EQ(spec.trials, 8);
+    EXPECT_EQ(spec.seed, 42u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Committed, SpecFile,
+                         ::testing::ValuesIn(spec_file_cases()));
+
+class FigureSpec : public ::testing::TestWithParam<SpecFileCase> {};
+
+TEST_P(FigureSpec, RunsAtTinyScale) {
+  const SweepSpec spec = load_spec(GetParam().name);
+  const SweepReport report = run_tiny(spec);
+  ASSERT_EQ(report.cells.size(), spec.cell_count());
+  for (const SweepCellResult& cell : report.cells) {
+    EXPECT_GT(cell.result.robustness.mean, 0.0);
+    // Only the approx dropper runs tasks in approximate mode.
+    if (cell.config.dropper.kind != DropperConfig::Kind::Approx) {
+      EXPECT_EQ(cell.result.utility.mean, cell.result.robustness.mean);
     }
   }
 }
 
-TEST(Figures, FailureAblationIncludesBaselineRow) {
-  const Table table = ablation_failures(tiny_scale());
-  EXPECT_EQ(table.row_count(), 10u);  // 5 MTBF points x 2 droppers
-  EXPECT_EQ(table.rows()[0][0], "no failures");
+INSTANTIATE_TEST_SUITE_P(Committed, FigureSpec,
+                         ::testing::ValuesIn(figure_cases()));
+
+TEST(SpecFiles, ApproxAblationReportsUtilityBelowRobustness) {
+  const SweepReport report = run_tiny(load_spec("ablation_approx"));
+  const SweepCellResult& approx =
+      cell_at(report, {{"level", "30k"}, {"dropper", "approx"}});
+  EXPECT_LT(approx.result.utility.mean, approx.result.robustness.mean);
 }
 
-TEST(Figures, DeferralAblationCoversBothPams) {
-  const Table table = ablation_deferral(tiny_scale());
-  EXPECT_EQ(table.row_count(), 4u);
-  EXPECT_EQ(table.rows()[0][0], "PAM");
-  EXPECT_EQ(table.rows()[2][0], "PAMD");
+TEST(SpecFiles, FailureAblationStartsWithTheBaselineCell) {
+  const SweepReport report = run_tiny(load_spec("ablation_failures"));
+  EXPECT_EQ(report.cells.front().point.failures, "off");
+  EXPECT_FALSE(report.cells.front().config.failures.enabled);
+  EXPECT_TRUE(report.cells.back().config.failures.enabled);
 }
 
-TEST(Figures, SensitivitySweepsProduceMonotoneAxes) {
-  const Table gamma = ablation_gamma(tiny_scale());
-  EXPECT_EQ(gamma.row_count(), 6u);
-  const Table capacity = ablation_queue_capacity(tiny_scale());
-  EXPECT_EQ(capacity.row_count(), 5u);
+TEST(SpecFiles, DeferralAblationCoversBothPams) {
+  EXPECT_EQ(load_spec("ablation_deferral").mappers,
+            (std::vector<std::string>{"PAM", "PAMD"}));
+}
+
+TEST(SpecFiles, Fig10RunsTheVideoScenario) {
+  const SweepReport report = run_tiny(load_spec("fig10"));
+  ASSERT_FALSE(report.cells.empty());
+  for (const SweepCellResult& cell : report.cells) {
+    EXPECT_EQ(cell.config.scenario, ScenarioKind::Video);
+  }
+}
+
+TEST(SpecFiles, SensitivitySweepsCoverTheirAxes) {
+  const SweepSpec gamma = load_spec("ablation_gamma");
+  EXPECT_EQ(gamma.gammas.size() * gamma.droppers.size(), 6u * 2u);
+  const SweepSpec capacity = load_spec("ablation_queue_capacity");
+  EXPECT_EQ(capacity.queue_capacities.size() * capacity.droppers.size(),
+            5u * 2u);
 }
 
 TEST(PaperClaims, ApproxUtilityBeatsDropOnlyRobustnessAtSameScale) {

@@ -139,6 +139,32 @@ TEST(SweepShards, PartitionCoversEveryUnitExactlyOnce) {
   for (const int owner_count : owners) EXPECT_EQ(owner_count, 1);
 }
 
+TEST(SweepShards, NonCanonicalValueTokensShardAndMerge) {
+  // Labels come from the parsed values, rendered as the spec header
+  // renders them, so tokens like "1.0" and "100000" (which the shortest
+  // form alone would print as "1" and "1e+05") re-expand to the same cells
+  // at merge time.
+  const SweepSpec spec = SweepSpec::from_map(parse_spec_text(
+      "name = canonical labels\n"
+      "mapper = PAM\n"
+      "dropper = heuristic\n"
+      "beta = 1.0, 1.5\n"
+      "mtbf = 0, 120000, 100000\n"
+      "mttr = 3000\n"
+      "levels = a:250:3\n"
+      "trials = 2\n"));
+  ASSERT_EQ(spec.cell_count(), 6u);
+  EXPECT_EQ(spec.droppers[0].label, "heuristic beta=1");
+  EXPECT_EQ(spec.failures[2].label, "mtbf=100000");
+
+  std::vector<SweepShardReport> shards;
+  for (int i = 0; i < 2; ++i) shards.push_back(run_shard_via_json(spec, i, 2));
+  std::ostringstream merged, unsharded;
+  write_sweep_json(merged, merge_sweep_reports(shards));
+  write_sweep_json(unsharded, run_sweep(spec));
+  EXPECT_EQ(merged.str(), unsharded.str());
+}
+
 TEST(SweepShards, DuplicateShardIsRejected) {
   const SweepSpec spec = shard_spec();
   std::vector<SweepShardReport> shards;
@@ -195,12 +221,7 @@ TEST(SweepShards, ShardOptionsAreValidated) {
   options.shard = ShardSpec{-1, 2};
   EXPECT_THROW(run_sweep(spec, options), std::invalid_argument);
 
-  // Series lists have no canonical to_map rendering, so sharding them
-  // would produce unmergeable headers — rejected up front.
-  SweepSpec series = spec;
-  series.series = {{"PAM+Heuristic", "PAM", DropperConfig::heuristic()}};
   options.shard = ShardSpec{0, 2};
-  EXPECT_THROW(run_sweep(series, options), std::invalid_argument);
 
   // A hand-built dropper variant list can render to a grid of the same
   // keys and size whose re-expansion orders cells differently — the

@@ -38,19 +38,6 @@ TEST(SweepSpec, CellCountIsTheCrossProduct) {
   EXPECT_EQ(expand(spec).size(), 96u);
 }
 
-TEST(SweepSpec, SeriesReplacesMapperDropperCross) {
-  SweepSpec spec = small_spec();
-  spec.series = {{"PAM+Heuristic", "PAM", DropperConfig::heuristic()},
-                 {"MM+ReactDrop", "MM", DropperConfig::reactive_only()},
-                 {"PAM+Threshold", "PAM", DropperConfig::threshold()}};
-  EXPECT_EQ(spec.cell_count(), 3u);
-  const auto cells = expand(spec);
-  ASSERT_EQ(cells.size(), 3u);
-  EXPECT_EQ(cells[1].point.mapper, "MM");
-  EXPECT_EQ(cells[1].point.dropper, "MM+ReactDrop");
-  EXPECT_EQ(cells[1].config.dropper.kind, DropperConfig::Kind::ReactiveOnly);
-}
-
 TEST(SweepSpec, ExpansionFillsConfigsAndPoints) {
   const SweepSpec spec = small_spec();
   const auto cells = expand(spec);
@@ -94,6 +81,18 @@ TEST(SweepSpec, ValidateRejectsBadSpecsUpFront) {
   spec = small_spec();
   spec.mappers = {"NOPE"};
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+
+  // A negative deadline slack is a bad spec in every build type, not just
+  // where the deadline rule's assert is compiled in.
+  spec = small_spec();
+  spec.gammas = {4.0, -1.0};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  EXPECT_THROW(SweepSpec::from_map(parse_spec_text("gamma = -1\n")),
+               std::invalid_argument);
+
+  // mtbf = 0 means "failures off"; a negative MTBF is an error, not off.
+  EXPECT_THROW(SweepSpec::from_map(parse_spec_text("mtbf = 0, -5\n")),
+               std::invalid_argument);
 }
 
 TEST(SweepSpec, FromMapBuildsGridsThroughTheRegistries) {
@@ -377,6 +376,29 @@ TEST(SweepReportEmitters, TableCsvAndJsonAgreeOnCells) {
   // A plain (unsharded) dump carries summaries, not per-trial payloads.
   EXPECT_EQ(json.str().find("\"shard\""), std::string::npos);
   EXPECT_EQ(json.str().find("\"trials\": ["), std::string::npos);
+}
+
+TEST(SweepReportEmitters, PlainJsonCarriesTrialCounterSummaries) {
+  SweepSpec spec = small_spec();
+  spec.mappers = {"PAM"};
+  spec.droppers = {{"heuristic", DropperConfig::heuristic()}};
+  const SweepReport report = run_sweep(spec);
+  ASSERT_EQ(report.cells.size(), 1u);
+  const std::vector<TrialMetrics>& trials = report.cells[0].result.trials;
+  std::vector<double> invocations;
+  for (const TrialMetrics& trial : trials) {
+    invocations.push_back(static_cast<double>(trial.dropper_invocations));
+  }
+  const Summary expected = summarize(invocations);
+  EXPECT_GT(expected.mean, 0.0);
+
+  std::ostringstream json;
+  write_sweep_json(json, report);
+  EXPECT_NE(json.str().find("\"dropper_invocations\": {\"mean\": " +
+                            format_double(expected.mean) + ", \"ci95\": " +
+                            format_double(expected.ci95) + "}"),
+            std::string::npos)
+      << json.str();
 }
 
 TEST(SweepReportEmitters, JsonStaysValidForNonFiniteSummaries) {

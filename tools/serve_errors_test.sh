@@ -4,7 +4,7 @@
 # must survive error teardown, and --on-error=skip must recover — emitting
 # a structured error record while later decisions and the stats stay
 # intact. Also covers CLI flag validation (negative --seed, bogus
-# --on-error).
+# --on-error, out-of-range run/serve sizes).
 #
 #   tools/serve_errors_test.sh <taskdrop_cli>
 set -euo pipefail
@@ -148,6 +148,25 @@ expect_flag_error negative_snapshot_every \
 expect_flag_error snapshot_every_without_out \
     "--snapshot-every needs --snapshot-out" \
     serve "${serve_args[@]}" --snapshot-every=10 --stream=/dev/null
+# A capacity past int range must not wrap onto a small valid one.
+expect_flag_error serve_capacity_overflow \
+    "--capacity: integer out of range '4294967302'" \
+    serve "${serve_args[@]}" --capacity=4294967302 --stream=/dev/null
+
+# run resolves its flags through the sweep spec checks: task counts,
+# oversubscription and capacity are range-checked before any trial runs.
+run_args=(--scenario=spec_hc --mapper=PAM --dropper=heuristic --trials=1)
+expect_flag_error run_zero_tasks "n_tasks must be >= 1" \
+    "${run_args[@]}" --tasks=0
+expect_flag_error run_negative_tasks "n_tasks must be >= 1" \
+    "${run_args[@]}" --tasks=-5
+expect_flag_error run_negative_oversub "oversubscription must be > 0" \
+    "${run_args[@]}" --tasks=300 --oversub=-1
+expect_flag_error run_zero_oversub "oversubscription must be > 0" \
+    "${run_args[@]}" --tasks=300 --oversub=0
+expect_flag_error run_capacity_overflow \
+    "sweep key capacity: integer out of range '4294967302'" \
+    "${run_args[@]}" --tasks=300 --capacity=4294967302
 
 if [[ $fails -ne 0 ]]; then
   echo "serve errors test: $fails check(s) failed" >&2

@@ -159,7 +159,7 @@ std::uint64_t seed_from_flags(const Flags& flags) {
   return static_cast<std::uint64_t>(seed);
 }
 
-/// Dropper construction for `run`: only explicitly set flags become
+/// Dropper construction for `serve`: only explicitly set flags become
 /// from_spec parameters, so registry defaults stay in one place.
 DropperConfig dropper_from_flags(const Flags& flags) {
   std::map<std::string, std::string> params;
@@ -170,29 +170,32 @@ DropperConfig dropper_from_flags(const Flags& flags) {
   return DropperConfig::from_spec(flags.get("dropper", "heuristic"), params);
 }
 
-int run_single(const Flags& flags) {
-  ExperimentConfig config;
-  config.scenario = scenario_from_name(flags.get("scenario", "spec_hc"));
-  config.mapper = flags.get("mapper", "PAM");
-  config.dropper = dropper_from_flags(flags);
-  config.workload.n_tasks = static_cast<int>(flags.get_int("tasks", 3000));
-  config.workload.oversubscription = flags.get_double("oversub", 3.0);
-  config.workload.gamma = flags.get_double("gamma", config.workload.gamma);
-  if (flags.get_bool("bursty")) {
-    config.workload.pattern = ArrivalPattern::Bursty;
+/// `run` is a one-cell sweep: its flags become single-valued spec keys, so
+/// the config gets sweep's whole-string parses and range checks
+/// (SweepSpec::from_map + validate) instead of bare casts that wrap.
+ExperimentConfig run_config_from_flags(const Flags& flags) {
+  // A negative --seed gets run/serve's wording, not an unsigned-parse error.
+  seed_from_flags(flags);
+  SpecMap map;
+  for (const char* key : {"scenario", "mapper", "dropper", "eta", "beta",
+                          "threshold", "tasks", "oversub", "gamma",
+                          "capacity", "trials", "seed"}) {
+    if (flags.has(key)) map[key] = {flags.get(key, "")};
   }
-  config.queue_capacity = static_cast<int>(flags.get_int("capacity", 6));
-  config.trials = static_cast<int>(flags.get_int("trials", 8));
-  config.seed = seed_from_flags(flags);
-  if (flags.get_bool("failures")) {
-    config.failures.enabled = true;
-    config.failures.mean_time_between_failures =
-        flags.get_double("mtbf", 60000.0);
-    config.failures.mean_time_to_repair = flags.get_double("mttr", 3000.0);
-  }
+  if (flags.get_bool("static-threshold")) map["adaptive"] = {"0"};
+  if (flags.get_bool("bursty")) map["pattern"] = {"bursty"};
   if (flags.get_bool("on-deadline-miss")) {
-    config.engagement = DropperEngagement::OnDeadlineMiss;
+    map["engagement"] = {"on-deadline-miss"};
   }
+  if (flags.get_bool("failures")) {
+    map["mtbf"] = {flags.get("mtbf", "60000")};
+    map["mttr"] = {flags.get("mttr", "3000")};
+  }
+  return expand(SweepSpec::from_map(map)).front().config;
+}
+
+int run_single(const Flags& flags) {
+  const ExperimentConfig config = run_config_from_flags(flags);
 
   // Optional trace round-trip: archive the first trial's trace, or run
   // every trial on an externally supplied one.
@@ -245,15 +248,13 @@ int emit_to_out(const Flags& flags,
 }
 
 int run_sweep_command(const Flags& flags) {
-  // The Flags parser drops unrecognised tokens (so benches can share argv
-  // with google-benchmark), but for sweeps a typo'd axis flag would
-  // silently run the wrong grid — reject anything that is neither a spec
-  // key nor a sweep option. "full" can appear via the REPRO_FULL fold-in.
+  // The Flags parser accepts any --key, but for sweeps a typo'd axis flag
+  // would silently run the wrong grid — reject anything that is neither a
+  // spec key nor a sweep option.
   static const std::vector<std::string> kSweepOptions = {
       "spec",        "csv",           "json",        "out",
       "progress",    "threads",       "shard",       "elastic",
-      "lease-dir",   "lease-timeout", "lease-units", "bench-macro",
-      "full"};
+      "lease-dir",   "lease-timeout", "lease-units", "bench-macro"};
   for (const std::string& key : flags.keys()) {
     const auto& spec_keys = sweep_spec_keys();
     const bool known =
@@ -420,10 +421,8 @@ int run_sweep_command(const Flags& flags) {
 
 int run_merge_command(const Flags& flags,
                       const std::vector<std::string>& files) {
-  // "full" can appear via the REPRO_FULL fold-in (it scales sweeps, not
-  // merges, but must not make merge refuse to run).
   static const std::vector<std::string> kMergeOptions = {
-      "format", "out", "allow-reexecuted", "full"};
+      "format", "out", "allow-reexecuted"};
   for (const std::string& key : flags.keys()) {
     if (std::find(kMergeOptions.begin(), kMergeOptions.end(), key) ==
         kMergeOptions.end()) {
@@ -543,6 +542,18 @@ int nonnegative_int_flag(const Flags& flags, const char* name) {
   return static_cast<int>(value);
 }
 
+/// Serve's --capacity: a whole-string int parse, so 4294967302 is rejected
+/// instead of wrapping onto 6, and at least one slot per machine.
+int capacity_from_flags(const Flags& flags) {
+  const int capacity =
+      parse_spec_int("--capacity", flags.get("capacity", "6"));
+  if (capacity < 1) {
+    throw std::invalid_argument("--capacity must be >= 1, got " +
+                                std::to_string(capacity));
+  }
+  return capacity;
+}
+
 int run_serve_command(const Flags& flags) {
   static const std::vector<std::string> kServeOptions = {
       "scenario", "mapper",   "dropper",          "eta",
@@ -550,8 +561,7 @@ int run_serve_command(const Flags& flags) {
       "seed",     "on-deadline-miss", "condition-running", "volatile",
       "approx",   "stream",   "out",              "stats-out",
       "shed-watermark", "shed-machine-backlog", "on-error",
-      "snapshot-out", "snapshot-every", "restore",
-      "full"};
+      "snapshot-out", "snapshot-every", "restore"};
   for (const std::string& key : flags.keys()) {
     if (std::find(kServeOptions.begin(), kServeOptions.end(), key) ==
         kServeOptions.end()) {
@@ -585,7 +595,7 @@ int run_serve_command(const Flags& flags) {
   auto dropper = make_dropper(dropper_config);
 
   OnlineConfig config;
-  config.queue_capacity = static_cast<int>(flags.get_int("capacity", 6));
+  config.queue_capacity = capacity_from_flags(flags);
   if (flags.get_bool("on-deadline-miss")) {
     config.engagement = DropperEngagement::OnDeadlineMiss;
   }
