@@ -1,10 +1,14 @@
 // Micro benchmarks for section IV-F, factor (A): the per-mapping-event cost
 // of the dropping mechanisms as a function of machine-queue depth q. The
-// heuristic needs O(eta * q) convolutions while the optimal subset search
-// needs O(q * 2^(q-1)) — this bench makes the gap concrete. BM_HeuristicRewalk
-// times the heuristic's re-walk of a queue whose chain did not change, which
-// the completion model's per-position window memo answers without
-// convolving.
+// heuristic walks the O(q) completion chain and, wherever its fold bracket
+// settles a window, O(eta) folds of at most |E| bins each instead of the
+// window's eta convolutions; only the windows the bracket leaves open still
+// convolve (O(eta * q) in the worst case). The optimal subset search needs
+// O(q * 2^(q-1)) — this bench makes the gap concrete. BM_HeuristicDropper
+// starts every iteration from a cold memo, the regime the bracket targets,
+// out to depth 24. BM_HeuristicRewalk times the heuristic's re-walk of a
+// queue whose chain did not change, which the completion model's
+// per-position window memo answers without convolving.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -58,7 +62,7 @@ void BM_HeuristicDropper(benchmark::State& state) {
   ProactiveHeuristicDropper dropper;
   run_dropper_bench(state, dropper);
 }
-BENCHMARK(BM_HeuristicDropper)->DenseRange(2, 8);
+BENCHMARK(BM_HeuristicDropper)->DenseRange(2, 8)->Arg(16)->Arg(24);
 
 /// The trial_cond regime: a conditioned running machine whose clock
 /// advances below the running task's first kept bin, so each mapping event

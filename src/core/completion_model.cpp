@@ -7,6 +7,8 @@
 #include <string>
 
 #include "prob/convolution.hpp"
+// fft_profitable sizes the bracket's FFT margin. layering-allow(fft-plan)
+#include "prob/fft.hpp"
 #include "util/audit.hpp"
 
 namespace taskdrop {
@@ -296,33 +298,282 @@ double CompletionModel::tail_mean() {
   return tail_mean_;
 }
 
-double CompletionModel::dropped_window_sum(std::size_t pos,
-                                           std::size_t depth) {
-  assert(pos < machine_->queue.size());
-  const auto direct = [&] {
-    return window_chance_sum(predecessor(pos), *machine_, *tasks_, *pet_,
-                             pos + 1, pos + depth, options_.approx_pet,
-                             &workspace());
-  };
+std::optional<CompletionModel::WindowBracket>& CompletionModel::window_slot(
+    std::size_t pos, std::size_t depth) {
   if (depth != window_depth_) {
     std::fill(windows_.begin(), windows_.end(), std::nullopt);
     window_depth_ = depth;
   }
   if (windows_.size() <= pos) windows_.resize(machine_->queue.size());
-  std::optional<double>& memo = windows_[pos];
-  if (memo.has_value()) {
-    const double value = *memo;
+  return windows_[pos];
+}
+
+double CompletionModel::direct_window_sum(std::size_t pos, std::size_t depth) {
+  return window_chance_sum(predecessor(pos), *machine_, *tasks_, *pet_,
+                           pos + 1, pos + depth, options_.approx_pet,
+                           &workspace());
+}
+
+double CompletionModel::dropped_window_sum(std::size_t pos,
+                                           std::size_t depth) {
+  assert(pos < machine_->queue.size());
+  const std::optional<WindowBracket>& memo = window_slot(pos, depth);
+  // float-eq-ok: a point bracket is the exact value (brackets are wider)
+  if (memo.has_value() && memo->lo == memo->hi) {
+    const double value = memo->lo;
     if (audit::due(audit_dropped_counter_)) {
       // float-eq-ok: bit-identity audit is exact by design
-      if (value != direct()) {
+      if (value != direct_window_sum(pos, depth)) {
         audit::fail("dropped-window memo at position " + std::to_string(pos) +
                     " diverged from window_chance_sum");
       }
     }
     return value;
   }
-  memo = direct();
-  return *memo;
+  const double value = direct_window_sum(pos, depth);
+  windows_[pos] = WindowBracket{value, value};
+  return value;
+}
+
+CompletionModel::WindowBracket CompletionModel::dropped_window_bracket(
+    std::size_t pos, std::size_t depth) {
+  assert(pos < machine_->queue.size());
+  if (!window_slot(pos, depth).has_value()) {
+    std::optional<WindowBracket> bracket = fold_bracket(pos, depth);
+    if (!bracket.has_value()) {
+      const double value = direct_window_sum(pos, depth);
+      bracket = WindowBracket{value, value};
+    }
+    windows_[pos] = bracket;
+  }
+  const WindowBracket bracket = *windows_[pos];
+  if (bracket.lo < bracket.hi && audit::due(audit_bracket_counter_)) {
+    const double value = direct_window_sum(pos, depth);
+    if (!(bracket.lo <= value && value <= bracket.hi)) {
+      audit::fail("dropped-window bracket at position " + std::to_string(pos) +
+                  " does not contain window_chance_sum");
+    }
+  }
+  return bracket;
+}
+
+// --- The fold bracket -----------------------------------------------------
+//
+// Window at pending position p: tasks n = p+1 .. w, w = min(p + depth,
+// q - 1), chain re-rooted at X = predecessor(p). E_n is task n's execution
+// PMF, F_n(t) = P(E_n < t) its cumulative view, d_n its deadline.
+// window_chance_sum walks the provisional chain S_p = X, S_m = step_m(S_{m-1})
+// with step_m(x) = x + E_m if x < d_m, else x (the task is reactively
+// dropped and the slot completes with its predecessor), and sums
+// chance_n = P(S_{n-1} + E_n < d_n) = E[F_n(d_n - S_{n-1})]. With E >= 0:
+//
+//   * n = p+1 starts at X itself: chance = sum_k X(k) F(d_n - k) exactly.
+//   * A step never moves a start earlier, and step p+1 adds at least
+//     min E_{p+1} to every k < d_{p+1}; F_n(d_n - s) falls as s grows, so
+//     chance_n <= fold_n(min E_{p+1}, 0).
+//   * Step m adds at most max E_m, and step p+1 adds nothing at or above
+//     d_{p+1}, so chance_n >= fold_n(A_n, B_n) with A_n = sum_{m=p+1}^{n-1}
+//     max E_m and B_n = sum_{m=p+2}^{n-1} max E_m.
+//
+// where fold_n(a, b) = sum_k X(k) F_n(d_n - k - s_k), s_k = a below d_{p+1}
+// and b from it on. The kept chain's chance(n) is *not* a lower bound:
+// truncation makes the step non-monotone (a later predecessor can pass task
+// n - 1 through and let n start earlier).
+//
+// On X's lattice t_i = X.min + i*stride the F_n argument falls by one
+// stride per bin, so F_n's bin count is c0 - i for one integer division c0:
+// bins with c0 - i >= |E_n| are saturated and fold through X's cached
+// prefix sums (completion_cdf(p - 1)) in O(1), bins with c0 - i <= 0 add 0,
+// and at most |E_n| products remain.
+//
+// Rounding. The bracket must hold the double window_chance_sum returns,
+// which differs from the real window sum of the same double inputs by:
+//
+//   * relative error: every kernel bin, mass_before and the window sum are
+//     sums of non-negative terms, as are the folds, the PET prefix sums and
+//     X's. A sum of K such terms is within gamma_K = K u / (1 - K u) of its
+//     real value (u = 2^-53) and the errors compound through the chain, so
+//     the chain side is within gamma of (steps + 2)(|E|max + W + 4) terms,
+//     and the folds within the same; fold_bracket requires that count to
+//     be <= 2^21, so each side is within 2.4e-10 and rho = 1e-9 covers both
+//     with room for the margin arithmetic. W bounds every accumulator the
+//     walk fills: (X.max - X.min + sum_n max E_n) / stride + 1 bins.
+//   * absolute error: publish() drops leading bins <= 1e-12 (at most W per
+//     step) and moves a tail of mass <= 1e-12 earlier. Both perturb the
+//     chain by at most 1e-12 (W + 1) in total variation, which moves each
+//     later chance by no more (the steps are Markov kernels), so step m
+//     costs at most 1e-12 (W + 1) per chance from m on: sum over steps of
+//     (w - m + 1) = T chance-steps in all. An FFT step (both operands at or
+//     above fft_min_bins) of transform size N <= 2 (W + |E|) is within
+//     5 (6.7 u log2 N) sqrt(N) <= 1e-14 sqrt(N) log2 N <= 1e-13 N in L1 of
+//     the exact convolution (unit-mass inputs; the standard radix-2 bound
+//     with computed twiddles), charged the same way. Each fold's segment
+//     difference of X prefixes adds at most 2 gamma_W, under 1e-15 (W + 2).
+//
+// So lo (1 - rho) - alpha <= value <= hi (1 + rho) + alpha, with alpha twice
+// the sum of those absolute terms (covering their own growth through later
+// steps and the rounding of the margins). Times stay within +-2^60 ticks so
+// no lattice difference overflows; beyond that, or with an empty,
+// negative-time or mixed-stride execution PMF (where the exact walk may
+// throw), fold_bracket gives up and the exact walk decides.
+namespace {
+
+constexpr double kBracketRho = 1e-9;
+constexpr double kPublishEps = 1e-12;  // publish()'s trim epsilon
+constexpr std::size_t kMaxRoundedTerms = std::size_t{1} << 21;
+constexpr Tick kBracketTickLimit = Tick{1} << 60;
+
+bool within_tick_limit(Tick t) {
+  return t >= -kBracketTickLimit && t <= kBracketTickLimit;
+}
+
+/// ceil(num / den) for den > 0.
+Tick ceil_div(Tick num, Tick den) {
+  return num / den + (num % den > 0 ? 1 : 0);
+}
+
+const PmfCdf& execution_cdf(const Task& task, MachineTypeId machine_type,
+                            const PetMatrix& pet, const PetMatrix* approx_pet) {
+  if (task.approximate && approx_pet != nullptr) {
+    return approx_pet->cdf(task.type, machine_type);
+  }
+  return pet.cdf(task.type, machine_type);
+}
+
+/// One shifted fold segment: the sum over X bins i in [first, last) of
+/// X_i * F(deadline - shift - t_i). `x_prefix` is X's cumulative view
+/// (null when X is a single bin).
+double segment_fold(const Pmf& x, const PmfCdf* x_prefix, std::size_t first,
+                    std::size_t last, Tick stride, Tick deadline, Tick shift,
+                    const Pmf& exec, const PmfCdf& exec_cdf) {
+  if (first >= last) return 0.0;
+  const Tick c0 = ceil_div(deadline - shift - x.min_time() - exec.min_time(),
+                           stride);
+  const auto bin_index = [&](Tick v) {
+    if (v <= static_cast<Tick>(first)) return first;
+    if (v >= static_cast<Tick>(last)) return last;
+    return static_cast<std::size_t>(v);
+  };
+  const std::size_t saturated_end =
+      bin_index(c0 - static_cast<Tick>(exec.size()));
+  const std::size_t window_end = bin_index(c0);
+  double sum = 0.0;
+  if (saturated_end > first) {
+    const double mass = x_prefix == nullptr
+                            ? x.prob_at_index(0)
+                            : x_prefix->prefix_at(saturated_end) -
+                                  x_prefix->prefix_at(first);
+    sum = exec_cdf.total_mass() * mass;
+  }
+  const double* p = x.data();
+  for (std::size_t i = saturated_end; i < window_end; ++i) {
+    sum += p[i] * exec_cdf.prefix_at(static_cast<std::size_t>(
+                      c0 - static_cast<Tick>(i)));
+  }
+  return sum;
+}
+
+}  // namespace
+
+std::optional<CompletionModel::WindowBracket> CompletionModel::fold_bracket(
+    std::size_t pos, std::size_t depth) {
+  const std::size_t q = machine_->queue.size();
+  if (pos + 1 >= q) return WindowBracket{0.0, 0.0};  // window_chance_sum's 0
+  const std::size_t last = std::min(pos + depth, q - 1);
+  const std::size_t steps = last - pos;
+  const Pmf& x = predecessor(pos);
+  if (x.empty() || !within_tick_limit(x.min_time()) ||
+      !within_tick_limit(x.max_time())) {
+    return std::nullopt;
+  }
+
+  // Window terms and the lattice every multi-bin PMF must share.
+  window_terms_.clear();
+  Tick stride = x.size() > 1 ? x.stride() : 0;
+  Tick max_sum = 0;
+  std::size_t exec_bins = 0;
+  for (std::size_t n = pos + 1; n <= last; ++n) {
+    const Task& task = (*tasks_)[static_cast<std::size_t>(machine_->queue[n])];
+    const Pmf& exec =
+        execution_pmf(task, machine_->type, *pet_, options_.approx_pet);
+    if (exec.empty() || exec.min_time() < 0 ||
+        exec.max_time() > kBracketTickLimit ||
+        !within_tick_limit(task.deadline)) {
+      return std::nullopt;
+    }
+    if (exec.size() > 1) {
+      if (stride == 0) stride = exec.stride();
+      if (exec.stride() != stride) return std::nullopt;
+    }
+    // Saturates at 2^61 >= d - X.min: a larger shift zeroes every term.
+    max_sum = std::min(max_sum + exec.max_time(), 2 * kBracketTickLimit);
+    exec_bins = std::max(exec_bins, exec.size());
+    window_terms_.push_back(
+        {&exec,
+         &execution_cdf(task, machine_->type, *pet_, options_.approx_pet),
+         task.deadline});
+  }
+  if (stride == 0) stride = 1;
+  for (const WindowTerm& term : window_terms_) {
+    if (term.exec->min_time() % stride != 0) return std::nullopt;
+  }
+  const Tick span_bins = (x.max_time() - x.min_time() + max_sum) / stride + 1;
+  if (span_bins > static_cast<Tick>(kMaxRoundedTerms)) return std::nullopt;
+  const auto width = static_cast<std::size_t>(span_bins);
+  if ((steps + 2) * (width + exec_bins + 4) > kMaxRoundedTerms) {
+    return std::nullopt;
+  }
+
+  const PmfCdf* x_prefix = x.size() > 1 ? &completion_cdf(pos - 1) : nullptr;
+  const Tick first_deadline = window_terms_.front().deadline;
+  const std::size_t split = static_cast<std::size_t>(std::clamp<Tick>(
+      ceil_div(first_deadline - x.min_time(), stride), 0,
+      static_cast<Tick>(x.size())));
+  const auto fold = [&](const WindowTerm& term, Tick below, Tick above) {
+    if (below == above) {
+      return segment_fold(x, x_prefix, 0, x.size(), stride, term.deadline,
+                          below, *term.exec, *term.exec_cdf);
+    }
+    return segment_fold(x, x_prefix, 0, split, stride, term.deadline, below,
+                        *term.exec, *term.exec_cdf) +
+           segment_fold(x, x_prefix, split, x.size(), stride, term.deadline,
+                        above, *term.exec, *term.exec_cdf);
+  };
+
+  double lo = fold(window_terms_.front(), 0, 0);
+  double hi = lo;
+  const Tick first_min = window_terms_.front().exec->min_time();
+  Tick shift_all = 0;   // A_n: sum of max E over p+1 .. n-1
+  Tick shift_past = 0;  // B_n: sum of max E over p+2 .. n-1
+  for (std::size_t k = 1; k < steps; ++k) {
+    const Tick prev_max = window_terms_[k - 1].exec->max_time();
+    shift_all = std::min(shift_all + prev_max, 2 * kBracketTickLimit);
+    if (k > 1) {
+      shift_past = std::min(shift_past + prev_max, 2 * kBracketTickLimit);
+    }
+    hi += fold(window_terms_[k], first_min, 0);
+    lo += fold(window_terms_[k], shift_all, shift_past);
+  }
+
+  // Absolute margin (see the derivation above). A step can take the FFT
+  // path only if its execution PMF and the widest chain it can meet both
+  // pass the gate.
+  double chance_steps = 0.0;
+  double fft_error = 0.0;
+  for (std::size_t k = 0; k < steps; ++k) {
+    const auto later = static_cast<double>(steps - k);
+    chance_steps += later;
+    const std::size_t bins = window_terms_[k].exec->size();
+    if (fft_profitable(width, bins)) {
+      fft_error += later * 1e-13 * static_cast<double>(2 * (width + bins));
+    }
+  }
+  const auto w2 = static_cast<double>(width + 2);
+  const double alpha =
+      2.0 * (kPublishEps * w2 * chance_steps + fft_error +
+             1e-15 * w2 * static_cast<double>(2 * steps + 2));
+  return WindowBracket{lo * (1.0 - kBracketRho) - alpha,
+                       hi * (1.0 + kBracketRho) + alpha};
 }
 
 double CompletionModel::instantaneous_robustness() {

@@ -128,8 +128,35 @@ class CompletionModel {
   /// the entries at positions >= k - depth and every other entry returns
   /// the double the same call produced from bitwise-identical inputs. The
   /// chain keeps (bump_revision, the conditioned set_now keep) leave every
-  /// entry valid. A call with a different `depth` clears the memo.
+  /// entry valid. A call with a different `depth` clears the memo. The
+  /// value shares its slot with dropped_window_bracket's: once this has
+  /// run at `pos`, the bracket there is {value, value}.
   double dropped_window_sum(std::size_t pos, std::size_t depth);
+
+  /// Certified bounds on dropped_window_sum: lo <= the double it returns
+  /// for (pos, depth) <= hi, for the same queue state.
+  struct WindowBracket {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+
+  /// A bracket around dropped_window_sum(pos, depth) computed without a
+  /// convolution: O(depth) folds of predecessor(pos) against the window's
+  /// execution CDFs, each at most |E| bins long (see the derivation in
+  /// completion_model.cpp). The term of task pos + 1 is its exact real
+  /// chance; every later term n is bounded by shifting the predecessor's
+  /// start times by the least (upper bound) or the most (lower bound) the
+  /// provisional chain can add ahead of n. Rounding margins make the
+  /// bracket hold the computed double, not only the real value. A
+  /// bracket is never a point: hi - lo > 1e-11.
+  ///
+  /// Memoised in dropped_window_sum's per-position slot with the same
+  /// invalidation. When the window breaks a fold precondition (an empty
+  /// or negative-time execution PMF, mixed strides, times beyond 2^60
+  /// ticks, or a window too wide for the rounding budget) the exact walk
+  /// runs instead, raising what it raises, and the bracket is the point
+  /// {v, v}; so is every slot dropped_window_sum has already filled.
+  WindowBracket dropped_window_bracket(std::size_t pos, std::size_t depth);
 
   /// Completion-time PMF of queue position `pos` (Eq. 1).
   const Pmf& completion(std::size_t pos);
@@ -233,6 +260,15 @@ class CompletionModel {
   AppendedSlot& appended_slot(TaskTypeId type);
   double appended_cell(AppendedSlot& slot, TaskTypeId type, std::size_t cell);
   double direct_chance_if_appended(TaskTypeId type, Tick deadline);
+  /// The memo slot of the window at `pos` for `depth` (a new depth clears
+  /// the memo first).
+  std::optional<WindowBracket>& window_slot(std::size_t pos,
+                                            std::size_t depth);
+  /// window_chance_sum for the window at `pos`, uncached.
+  double direct_window_sum(std::size_t pos, std::size_t depth);
+  /// The uncached fold bracket; nullopt when a fold precondition fails.
+  std::optional<WindowBracket> fold_bracket(std::size_t pos,
+                                            std::size_t depth);
   PmfWorkspace& workspace() {
     return shared_ws_ != nullptr ? *shared_ws_ : owned_ws_;
   }
@@ -281,11 +317,20 @@ class CompletionModel {
   std::uint64_t tail_mean_revision_ = 0;
   bool tail_mean_valid_ = false;
 
-  /// dropped_window_sum memo, one entry per queue position (empty until
-  /// computed) for window depth window_depth_ (0 before the first call).
-  /// Kept in step with the chain by invalidate_from, not by a revision.
-  std::vector<std::optional<double>> windows_;
+  /// dropped_window_bracket / dropped_window_sum memo, one entry per queue
+  /// position (empty until computed) for window depth window_depth_ (0
+  /// before the first call): a fold bracket, or {v, v} once the exact
+  /// value v is known. Kept in step with the chain by invalidate_from, not
+  /// by a revision.
+  std::vector<std::optional<WindowBracket>> windows_;
   std::size_t window_depth_ = 0;
+  /// fold_bracket's per-window scratch: one entry per window task.
+  struct WindowTerm {
+    const Pmf* exec = nullptr;
+    const PmfCdf* exec_cdf = nullptr;
+    Tick deadline = 0;
+  };
+  std::vector<WindowTerm> window_terms_;
 
   /// TASKDROP_AUDIT sampling counters, one per audited memo so a chatty
   /// site cannot starve the others (unused in normal builds, where the
@@ -294,6 +339,7 @@ class CompletionModel {
   std::uint64_t audit_appended_counter_ = 0;
   std::uint64_t audit_tail_mean_counter_ = 0;
   std::uint64_t audit_dropped_counter_ = 0;
+  std::uint64_t audit_bracket_counter_ = 0;
 
   PmfWorkspace* shared_ws_ = nullptr;
   PmfWorkspace owned_ws_;
@@ -308,8 +354,10 @@ const Pmf& execution_pmf(const Task& task, MachineTypeId machine_type,
 /// predecessor chain starts from `pred` — the window quantity of Eqs. 4–7.
 /// Positions index `machine.queue`; `last` is clamped to the queue tail.
 /// This is the "what-if" primitive behind the proactive heuristic's
-/// provisional drop of one task (Eq. 8), which reads it through
-/// CompletionModel::dropped_window_sum's per-position memo.
+/// provisional drop of one task (Eq. 8), and the exact reference its
+/// bracket must contain: the heuristic reads it through
+/// CompletionModel::dropped_window_sum's per-position memo, and only for
+/// the windows CompletionModel::dropped_window_bracket cannot settle.
 /// When `ws` is given the provisional chain lives in ws->chain and the walk
 /// allocates nothing in steady state; `pred` must not alias ws->chain.
 double window_chance_sum(const Pmf& pred, const Machine& machine,

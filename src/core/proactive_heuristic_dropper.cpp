@@ -45,10 +45,18 @@ void ProactiveHeuristicDropper::run(SystemView& view, SchedulerOps& ops) {
 
       // R_drop = sum_{n=i+1}^{i+eta} p^(i)_nj: the same window, excluding
       // task i itself, with the chain re-rooted at i's predecessor
-      // (Eqs. 4–6). Memoised per position by the model.
-      const double drop_sum = model.dropped_window_sum(pos, eta);
+      // (Eqs. 4–6). The model's certified bracket lo <= R_drop <= hi
+      // settles most windows without convolving; the provisional chain
+      // runs only when the threshold falls inside it. Both are memoised
+      // per position by the model.
+      const double threshold = params_.beta * keep_sum;
+      const auto [lo, hi] = model.dropped_window_bracket(pos, eta);
+      bool drop = lo > threshold;
+      if (!drop && hi > threshold) {
+        drop = model.dropped_window_sum(pos, eta) > threshold;
+      }
 
-      if (drop_sum > params_.beta * keep_sum) {
+      if (drop) {
         ops.drop_queued_task(machine.id, pos);
         // Re-examine the task that just shifted into `pos`.
       } else {

@@ -23,6 +23,13 @@ namespace taskdrop {
 /// The running task is never dropped (no preemption, section III); the last
 /// task of a queue has an empty influence zone and is skipped (section
 /// IV-D). No user threshold is involved — the mechanism is autonomous.
+///
+/// The left-hand side is read as CompletionModel::dropped_window_bracket
+/// first: cheap folds of the predecessor against the window's execution
+/// CDFs bound the provisional chain's sum from both sides, rounding
+/// included, and the Eqs. 4–6 walk (dropped_window_sum) runs only when
+/// beta times the right-hand side falls inside that bracket. The exact sum
+/// always lies inside it, so every decision equals the walk's.
 class ProactiveHeuristicDropper final : public Dropper {
  public:
   struct Params {

@@ -91,6 +91,19 @@ long long parse_kv_ll(std::istringstream& in, const std::string& key) {
   return parse_ll(key, expect_kv(in, key));
 }
 
+/// A restored time, held to the live state's horizon (`lowest` as in
+/// SystemState::check_time).
+Tick parse_time(const std::string& what, const std::string& text,
+                Tick lowest) {
+  const Tick t = parse_ll(what, text);
+  try {
+    SystemState::check_time(what.c_str(), t, lowest);
+  } catch (const std::invalid_argument& error) {
+    bad(error.what());
+  }
+  return t;
+}
+
 std::uint64_t parse_u64(const std::string& what, const std::string& text) {
   if (text.empty() || text[0] == '-') bad(what + " must be non-negative");
   char* end = nullptr;
@@ -266,7 +279,7 @@ void OnlineScheduler::restore(std::istream& in) {
   {
     std::istringstream line(next_line(in, "clock"));
     expect_literal(line, "clock");
-    restored_now = parse_kv_ll(line, "now");
+    restored_now = parse_time("now", expect_kv(line, "now"), 0);
     expect_line_done(line);
   }
   {
@@ -319,8 +332,11 @@ void OnlineScheduler::restore(std::istream& in) {
           parse_ll("task type", next_token(task_line, "task type")));
       check(task.type >= 0 && task.type < state_.pet().task_type_count(),
             "task type out of range for this PET");
-      task.arrival = parse_ll("arrival", next_token(task_line, "arrival"));
-      task.deadline = parse_ll("deadline", next_token(task_line, "deadline"));
+      task.arrival =
+          parse_time("arrival", next_token(task_line, "arrival"), 0);
+      task.deadline =
+          parse_time("deadline", next_token(task_line, "deadline"),
+                     -SystemState::kTimeHorizon);
       task.state = task_state_from_name(next_token(task_line, "task state"));
       const long long approx =
           parse_ll("approx flag", next_token(task_line, "approx flag"));
@@ -371,7 +387,7 @@ void OnlineScheduler::restore(std::istream& in) {
       machine.up = up != 0;
       machine.running = running != 0;
       machine.run_start =
-          parse_ll("run_start", next_token(machine_line, "run_start"));
+          parse_time("run_start", next_token(machine_line, "run_start"), 0);
       machine.run_end =
           parse_ll("run_end", next_token(machine_line, "run_end"));
       machine.run_token = static_cast<std::uint32_t>(

@@ -30,6 +30,22 @@ SystemState::SystemState(const PetMatrix& pet,
   if (queue_capacity < 1) {
     reject("SystemState: queue capacity must be >= 1, got ", queue_capacity);
   }
+  check_time("SystemState: start time", now, 0);
+  for (const PetMatrix* matrix : {&pet, model_options.approx_pet}) {
+    if (matrix == nullptr) continue;
+    for (int t = 0; t < matrix->task_type_count(); ++t) {
+      for (int m = 0; m < matrix->machine_type_count(); ++m) {
+        const Pmf& cell = matrix->pmf(t, m);
+        if (!cell.empty() &&
+            (cell.min_time() < 0 || cell.max_time() > kMaxExecution)) {
+          reject("SystemState: PET cell (", t, ", ", m, ") spans [",
+                 cell.min_time(), ", ", cell.max_time(),
+                 "], outside the execution-time range [0, ", kMaxExecution,
+                 "]");
+        }
+      }
+    }
+  }
   machines_.reserve(machine_types.size());
   for (std::size_t m = 0; m < machine_types.size(); ++m) {
     machines_.emplace_back(static_cast<MachineId>(m), machine_types[m],
@@ -62,7 +78,15 @@ std::vector<std::pair<TaskId, MachineId>> SystemState::assigned() const {
   return out;
 }
 
+void SystemState::check_time(const char* what, Tick t, Tick lowest) {
+  if (t < lowest || t > kTimeHorizon) {
+    reject(what, " ", t, " is outside the time horizon [", lowest, ", ",
+           kTimeHorizon, "]");
+  }
+}
+
 void SystemState::set_now(Tick now) {
+  check_time("event time", now, 0);
   now_ = now;
   view_.now = now;
   // set_now early-returns when `now` is unchanged, so calling it on every
@@ -86,6 +110,8 @@ TaskId SystemState::register_task(TaskTypeId type, Tick arrival,
     reject("task type ", type, " out of range [0, ", pet_.task_type_count(),
            ")");
   }
+  check_time("arrival", arrival, 0);
+  check_time("deadline", deadline, -kTimeHorizon);
   Task task;
   task.id = static_cast<TaskId>(tasks_.size());
   task.type = type;
@@ -157,6 +183,10 @@ void SystemState::start_head(Tick t, MachineId machine_id, TaskId task_id,
   if (t >= deadline) {
     reject("task ", task_id, " cannot start at t=", t,
            ", at or past its deadline ", deadline);
+  }
+  if (duration > kMaxExecution) {
+    reject("run duration ", duration, " of task ", task_id,
+           " is above the execution-time limit ", kMaxExecution);
   }
   set_now(t);
   run_head(machine, now_, duration);
@@ -346,6 +376,7 @@ void SystemState::set_running(MachineId machine_id, Tick run_start) {
 void SystemState::restore(std::vector<Task> tasks,
                           const std::vector<Machine>& machines,
                           const std::vector<TaskId>& batch, Tick now) {
+  check_time("event time", now, 0);
   tasks_ = std::move(tasks);
   for (std::size_t m = 0; m < machines_.size(); ++m) machines_[m] = machines[m];
   // The expiry heap is rebuilt from the live batch alone: stale

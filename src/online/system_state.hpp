@@ -40,11 +40,31 @@ namespace taskdrop {
 /// decisions() or its dropped() / assigned() / downgraded() filters.
 class SystemState final : public SchedulerOps {
  public:
+  /// The times the state accepts. Event times (the clock, arrivals) lie in
+  /// [0, kTimeHorizon] and deadlines in [-kTimeHorizon, kTimeHorizon];
+  /// execution times (PET cells, announced run durations) in
+  /// [0, kMaxExecution]. Every time the models compute then stays below
+  /// 2^63, whatever the queue capacity and PET:
+  ///
+  ///   * A completion chain slot either passes its predecessor's time
+  ///     through or adds one execution time to a start that is before the
+  ///     slot's deadline (pending) or is the run start (running), so every
+  ///     chain time is at most kTimeHorizon + kMaxExecution; the queue
+  ///     length never enters.
+  ///   * The appended-distribution lattice adds one more execution time:
+  ///     kTimeHorizon + 2 kMaxExecution = 2^62 + 2^61.
+  ///   * A run ends by run start + duration <= 2^62 + 2^60.
+  ///
+  /// A rejected call throws std::invalid_argument and changes nothing.
+  static constexpr Tick kTimeHorizon = Tick{1} << 62;
+  static constexpr Tick kMaxExecution = kTimeHorizon / 4;
+
   /// `pet`, and `model_options.approx_pet` when set, must outlive the
   /// state. `machine_types[i]` is machine i's type (an index into the
   /// PET's machine axis); every queue holds `queue_capacity` tasks, the
   /// running one included. `approx_weight` is SystemView::approx_weight.
-  /// Throws std::invalid_argument on an empty fleet or a capacity below 1.
+  /// Throws std::invalid_argument on an empty fleet, a capacity below 1,
+  /// `now` outside the horizon or a PET cell outside [0, kMaxExecution].
   SystemState(const PetMatrix& pet,
               const std::vector<MachineTypeId>& machine_types,
               int queue_capacity, Tick now = 0,
@@ -89,6 +109,11 @@ class SystemState final : public SchedulerOps {
   }
   std::vector<std::pair<TaskId, MachineId>> assigned() const;
 
+  /// Throws std::invalid_argument naming `what` unless `t` lies in
+  /// [lowest, kTimeHorizon] (lowest is 0 for event times, -kTimeHorizon
+  /// for deadlines). The snapshot parser applies it to restored times.
+  static void check_time(const char* what, Tick t, Tick lowest);
+
   /// TASKDROP_AUDIT cross-check: BatchQueue link/size/state coherence and
   /// expiry-heap coverage of the batch. Fails through audit::fail.
   void audit_batch_coherence() const;
@@ -96,7 +121,8 @@ class SystemState final : public SchedulerOps {
   // --- Clock and task table ----------------------------------------------
 
   /// Moves the clock (view and models included). Monotonicity is the
-  /// caller's policy (OnlineScheduler checks it), not checked here.
+  /// caller's policy (OnlineScheduler checks it), not checked here; a time
+  /// outside [0, kTimeHorizon] is.
   void set_now(Tick now);
   /// set_now(t), then clears the decision stream for a new event.
   void begin_event(Tick t);
@@ -104,7 +130,8 @@ class SystemState final : public SchedulerOps {
   /// Pre-sizes task storage (an optimisation; storage grows on demand).
   void reserve_tasks(std::size_t task_count);
   /// Adds an Unmapped task to the table without admitting it; ids are
-  /// sequential from 0. Throws when `type` is outside the PET.
+  /// sequential from 0. Throws when `type` is outside the PET or a time is
+  /// outside the horizon.
   TaskId register_task(TaskTypeId type, Tick arrival, Tick deadline);
   /// Moves the task table out. The state must not be used afterwards.
   std::vector<Task> take_tasks() { return std::move(tasks_); }
@@ -122,7 +149,8 @@ class SystemState final : public SchedulerOps {
   /// `duration` (negative when unknown) sets Task::actual_execution and
   /// Machine::run_end. Emits nothing and does not open an event: a start
   /// is not a mapping event. Throws for a down or busy machine, a task
-  /// that is not the queue head, or a head at or past its deadline.
+  /// that is not the queue head, a head at or past its deadline, or a
+  /// duration above kMaxExecution.
   void start_head(Tick t, MachineId machine, TaskId task, Tick duration);
   /// Machine `machine`'s running task finished at `t`: FinishOnTime or
   /// FinishLate. Returns true when it finished late. Throws when the
@@ -176,7 +204,8 @@ class SystemState final : public SchedulerOps {
 
   /// Snapshot restore: replaces the task table, the machines (one per
   /// fleet machine) and the batch (arrival order), then re-roots every
-  /// model at `now`. The caller has validated the tables.
+  /// model at `now`. The caller has validated the tables (times included:
+  /// see check_time).
   void restore(std::vector<Task> tasks, const std::vector<Machine>& machines,
                const std::vector<TaskId>& batch, Tick now);
 

@@ -12,7 +12,9 @@ namespace taskdrop::audit {
 ///   * CompletionModel: the incremental chain, the appended-distribution
 ///     memo, the tail-mean memo and the dropped-window (Eq. 8) memo versus
 ///     from-scratch evaluation, bit for bit (the caches promise
-///     bit-identity, so the comparison is exact).
+///     bit-identity, so the comparison is exact); and, on its own counter,
+///     every returned Eq. 8 fold bracket that is not yet a point must
+///     contain the window_chance_sum walk of the same window.
 ///   * Engine: BatchQueue link/size coherence and lazy expiry-heap coverage
 ///     after every sampled mapping event.
 ///   * PamMapper: a candidate the phase-2 floor pruned (skipped, or the

@@ -1,7 +1,8 @@
 #include "util/flags.hpp"
 
-#include <cstdlib>
 #include <string_view>
+
+#include "util/spec_parser.hpp"
 
 namespace taskdrop {
 
@@ -35,20 +36,20 @@ std::string Flags::get(const std::string& key, const std::string& fallback) cons
 
 std::int64_t Flags::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == values_.end() ? fallback
+                             : parse_spec_i64("--" + key, it->second);
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end() ? fallback
+                             : parse_spec_double("--" + key, it->second);
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second != "0" && it->second != "false";
+  return it == values_.end() ? fallback
+                             : parse_spec_bool("--" + key, it->second);
 }
 
 }  // namespace taskdrop

@@ -10,7 +10,11 @@ namespace taskdrop {
 /// Tiny command-line flag parser for the CLI and the example binaries.
 ///
 /// Accepted syntax: `--key=value` and bare `--switch` (value "1"). Anything
-/// else is ignored; strict consumers check keys().
+/// else is ignored; strict consumers check keys(). The typed getters parse
+/// the whole value through util/spec_parser's parse_spec_* family and throw
+/// std::invalid_argument naming the flag ("--seed: malformed integer
+/// '12abc'") on garbage, trailing characters, out-of-range numbers, or a
+/// bool other than 0/1/true/false; an absent flag yields the fallback.
 class Flags {
  public:
   Flags(int argc, const char* const* argv);

@@ -159,14 +159,21 @@ namespace {
 
 }  // namespace
 
-int parse_spec_int(const std::string& context, const std::string& value) {
+std::int64_t parse_spec_i64(const std::string& context,
+                            const std::string& value) {
   errno = 0;
   char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
   if (value.empty() || end != value.c_str() + value.size()) {
     bad_number(context, value, "malformed integer");
   }
-  if (errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX) {
+  if (errno == ERANGE) bad_number(context, value, "integer out of range");
+  return parsed;
+}
+
+int parse_spec_int(const std::string& context, const std::string& value) {
+  const std::int64_t parsed = parse_spec_i64(context, value);
+  if (parsed < INT_MIN || parsed > INT_MAX) {
     bad_number(context, value, "integer out of range");
   }
   return static_cast<int>(parsed);

@@ -48,12 +48,14 @@ std::vector<std::string> split_spec_list(const std::string& text);
 std::string join_spec_list(const std::vector<std::string>& items);
 
 // --- Whole-string scalar parses shared by every consumer of spec values
-// (sweep keys, dropper parameters). Spec input comes from files and CLI
-// flags, so "2x" and out-of-range magnitudes must be loud
-// std::invalid_argument errors (prefixed with `context`, e.g. "sweep key
-// trials"), never silent truncation.
+// (sweep keys, dropper parameters, Flags' typed getters). Spec input comes
+// from files and CLI flags, so "2x" and out-of-range magnitudes must be
+// loud std::invalid_argument errors (prefixed with `context`, e.g. "sweep
+// key trials" or "--seed"), never silent truncation.
 
 int parse_spec_int(const std::string& context, const std::string& value);
+std::int64_t parse_spec_i64(const std::string& context,
+                            const std::string& value);
 std::uint64_t parse_spec_u64(const std::string& context,
                              const std::string& value);
 double parse_spec_double(const std::string& context, const std::string& value);

@@ -7,8 +7,10 @@
 // model that receives exactly the engine's minimal invalidation hints, and
 // require its chain — and the memoised Eq. 8 drop term at every pending
 // position — to be *bitwise equal* to a from-scratch rebuild at every
-// step. Invariants of the underlying stochastic model (mass
-// conservation, Eq. 2 bounds, append-probe consistency, deadline
+// step. The Eq. 8 fold bracket must contain that drop term at every
+// pending position and depth, memoised or fresh, and collapse onto it once
+// the exact value is known. Invariants of the underlying stochastic model
+// (mass conservation, Eq. 2 bounds, append-probe consistency, deadline
 // monotonicity) ride along.
 #include "core/completion_model.hpp"
 
@@ -18,8 +20,10 @@
 #include <tuple>
 #include <vector>
 
+#include "online/system_state.hpp"
 #include "pet/pet_builder.hpp"
 #include "prob/convolution.hpp"
+#include "prob/fft.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -104,6 +108,47 @@ void expect_windows_bitwise_equal(CompletionModel& incremental,
   }
 }
 
+/// Eq. 8's fold bracket at every pending position contains the exact
+/// window walk. Returns how many of the brackets were proper intervals
+/// (windows the heuristic could settle without the walk).
+int expect_brackets_contain(CompletionModel& model, const Machine& machine,
+                            const std::vector<Task>& tasks,
+                            const PetMatrix& pet, const PetMatrix* approx_pet,
+                            std::size_t depth, const char* after) {
+  int proper = 0;
+  for (std::size_t pos = machine.first_pending_pos();
+       pos < machine.queue.size(); ++pos) {
+    const auto [lo, hi] = model.dropped_window_bracket(pos, depth);
+    const double exact =
+        window_chance_sum(model.predecessor(pos), machine, tasks, pet,
+                          pos + 1, pos + depth, approx_pet);
+    EXPECT_LE(lo, exact) << "bracket above the window at pos " << pos
+                         << ", depth " << depth << " after " << after;
+    EXPECT_LE(exact, hi) << "bracket below the window at pos " << pos
+                         << ", depth " << depth << " after " << after;
+    if (lo < hi) ++proper;
+  }
+  return proper;
+}
+
+/// Once dropped_window_sum has run at a position, the bracket there is the
+/// point {value, value} of the exact walk.
+void expect_brackets_refine(CompletionModel& model, const Machine& machine,
+                            const std::vector<Task>& tasks,
+                            const PetMatrix& pet, const PetMatrix* approx_pet,
+                            std::size_t depth, const char* after) {
+  for (std::size_t pos = machine.first_pending_pos();
+       pos < machine.queue.size(); ++pos) {
+    const double value = model.dropped_window_sum(pos, depth);
+    EXPECT_EQ(value, window_chance_sum(model.predecessor(pos), machine, tasks,
+                                       pet, pos + 1, pos + depth, approx_pet))
+        << "pos " << pos << ", depth " << depth << " after " << after;
+    const auto [lo, hi] = model.dropped_window_bracket(pos, depth);
+    EXPECT_EQ(lo, value) << "pos " << pos << " after " << after;
+    EXPECT_EQ(hi, value) << "pos " << pos << " after " << after;
+  }
+}
+
 /// The window depth the suites query: 1 to 3, varied by seed.
 std::size_t eta_of(std::uint64_t seed) { return 1 + seed % 3; }
 
@@ -165,6 +210,10 @@ TEST_P(CompletionIncrementalTest, ChainMatchesFromScratchRebuild) {
 
     CompletionModel rebuilt = h.fresh_model(now);
     expect_chain_bitwise_equal(incremental, rebuilt, h.machine, what);
+    expect_brackets_contain(incremental, h.machine, h.tasks, h.pet, nullptr,
+                            eta_of(seed), what);
+    expect_brackets_refine(incremental, h.machine, h.tasks, h.pet, nullptr,
+                           eta_of(seed), what);
     expect_windows_bitwise_equal(incremental, rebuilt, h, eta_of(seed), what);
 
     // Model invariants at every step: each slot's completion PMF carries
@@ -344,6 +393,10 @@ TEST_P(ChainKeepTest, KeepPathsMatchParanoidAndRebuild) {
     CompletionModel rebuilt = h.fresh_model(now, keep_options);
     expect_chain_bitwise_equal(kept, paranoid, h.machine, what);
     expect_chain_bitwise_equal(kept, rebuilt, h.machine, what);
+    expect_brackets_contain(kept, h.machine, h.tasks, h.pet, nullptr,
+                            eta_of(seed), what);
+    expect_brackets_refine(kept, h.machine, h.tasks, h.pet, nullptr,
+                           eta_of(seed), what);
     expect_windows_bitwise_equal(kept, rebuilt, h, eta_of(seed), what);
     expect_windows_bitwise_equal(paranoid, rebuilt, h, eta_of(seed), what);
   }
@@ -353,6 +406,109 @@ INSTANTIATE_TEST_SUITE_P(
     SeededScripts, ChainKeepTest,
     ::testing::Combine(::testing::Range<std::uint64_t>(1, 11),
                        ::testing::Bool()));
+
+/// Fold-bracket lockdown on a hand-built SystemState, driven through its
+/// own ops so every invalidation is the production one: appends with
+/// deadlines before, inside and after each support, proactive drops,
+/// downgrades to the approximate PET, starts (conditioned or not),
+/// completions, and time advances that leave the machine idle with a
+/// queue, whose predecessor is the delta at `now`. After every step the
+/// state's own model answers brackets at one fixed depth (memoised across
+/// steps, never refined), and a fresh model checks depths 1–5 with
+/// refinement. Returns the number of proper brackets seen.
+int run_bracket_script(std::uint64_t seed, bool conditioned) {
+  Rng rng(seed * 0x94D049BB133111EBull + (conditioned ? 29 : 7));
+  const PetMatrix pet = make_pet(seed);
+  const PetMatrix approx = scaled_pet(pet, 0.5);
+  CompletionModel::Options options;
+  options.condition_running = conditioned;
+  options.approx_pet = &approx;
+  SystemState state(pet, {0}, /*queue_capacity=*/12, /*now=*/0, options);
+  const double mean = pet.mean_overall();
+  const std::size_t memo_depth = 1 + seed % 5;
+  int proper = 0;
+
+  for (int step = 0; step < 60; ++step) {
+    const Machine& machine = state.machine(0);
+    const Tick now = state.now();
+    const auto op = rng.uniform_int(0, 9);
+    const char* what = "advance";
+    if ((op <= 3 && machine.has_free_slot()) || machine.queue.empty()) {
+      const auto type =
+          static_cast<TaskTypeId>(rng.uniform_int(0, kTaskTypes - 1));
+      // Before now, inside the queue's completion support, or long after.
+      const auto where = rng.uniform_int(0, 5);
+      const Tick deadline =
+          where == 0 ? now - kStride * rng.uniform_int(0, 4)
+          : where <= 3
+              ? now + static_cast<Tick>(mean * rng.uniform(0.3, 6.0))
+              : now + static_cast<Tick>(mean * rng.uniform(20.0, 40.0));
+      state.enqueue(0, type, deadline);
+      what = "append";
+    } else if (op == 4 && machine.pending_count() > 0) {
+      state.drop_queued_task(
+          0, static_cast<std::size_t>(rng.uniform_int(
+                 static_cast<std::int64_t>(machine.first_pending_pos()),
+                 static_cast<std::int64_t>(machine.queue.size() - 1))));
+      what = "drop";
+    } else if (op == 5 && machine.pending_count() > 0) {
+      state.downgrade_task(
+          0, static_cast<std::size_t>(rng.uniform_int(
+                 static_cast<std::int64_t>(machine.first_pending_pos()),
+                 static_cast<std::int64_t>(machine.queue.size() - 1))));
+      what = "downgrade";
+    } else if (op == 6 && !machine.running) {
+      state.set_running(0, now);
+      what = "start";
+    } else if (op == 7 && machine.running) {
+      state.finish_running(now, 0);
+      what = "complete";
+    } else {
+      state.set_now(now + kStride * rng.uniform_int(1, 12));
+    }
+
+    proper += expect_brackets_contain(state.model(0), machine, state.tasks(),
+                                      pet, &approx, memo_depth, what);
+    CompletionModel fresh(&pet, &machine, &state.tasks(), options);
+    fresh.set_now(state.now());
+    for (std::size_t depth = 1; depth <= 5; ++depth) {
+      proper += expect_brackets_contain(fresh, machine, state.tasks(), pet,
+                                        &approx, depth, what);
+      expect_brackets_refine(fresh, machine, state.tasks(), pet, &approx,
+                             depth, what);
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  return proper;
+}
+
+class WindowBracketTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool>> {};
+
+TEST_P(WindowBracketTest, BracketHoldsThroughRandomScripts) {
+  const int proper =
+      run_bracket_script(std::get<0>(GetParam()), std::get<1>(GetParam()));
+  EXPECT_GT(proper, 0) << "the script never produced a proper bracket";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeededScripts, WindowBracketTest,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 11),
+                       ::testing::Bool()));
+
+TEST(WindowBracketFft, BracketHoldsWithTheFftGateLowered) {
+  // Every convolution of the walk takes the FFT path, whose error the
+  // bracket's margin must absorb on top of the direct kernels'.
+  test::FftGateGuard guard;
+  set_fft_min_bins(2);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const bool conditioned : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", conditioned "
+                                        << conditioned);
+      EXPECT_GT(run_bracket_script(seed, conditioned), 0);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace taskdrop

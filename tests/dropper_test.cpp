@@ -222,16 +222,43 @@ TEST(HeuristicDropper, MultiMachinePassCoversAllQueues) {
   EXPECT_EQ(system.machine(1).queue.size(), 2u);
 }
 
+TEST(HeuristicDropper, BracketSettlesClearWindowsAndRefinesNearTies) {
+  const PetMatrix pet = dropper_pet();
+  SystemState system(pet, {0, 0}, 6);
+  // Machine 0: certain small tasks. Each window keeps 2.0 against a drop
+  // term of 1.0, far outside the bracket's margin: settled, never walked.
+  for (int i = 0; i < 3; ++i) system.enqueue(0, 1, 100 + i);
+  // Machine 1: a coin head (chance 0.5 by deadline 3) and a small task
+  // (deadline 4) that succeeds only on the coin's fast branch. Dropping the
+  // coin lifts the small task to 1.0, exactly the kept 0.5 + 0.5: a tie
+  // that only the exact walk can decide (1.0 > 1.0 fails, so it stays).
+  system.enqueue(1, 3, 3);
+  system.enqueue(1, 1, 4);
+  ProactiveHeuristicDropper dropper(ProactiveHeuristicDropper::Params{1, 1.0});
+  dropper.run(system.view(), system);
+  EXPECT_TRUE(system.dropped().empty());
+
+  const auto settled = system.model(0).dropped_window_bracket(0, 1);
+  EXPECT_LT(settled.lo, settled.hi) << "the clear window was refined";
+  EXPECT_GT(settled.lo, 0.99);
+  EXPECT_LT(settled.hi, 1.01);
+  const auto tie = system.model(1).dropped_window_bracket(0, 1);
+  EXPECT_EQ(tie.lo, tie.hi) << "the near-tie was decided from the bracket";
+  EXPECT_EQ(tie.lo, 1.0);
+}
+
 /// Reference for the memoised heuristic: the same single pass with a
-/// direct window_chance_sum walk per position (no memo) and its own
-/// examined-revision skip. The memoised dropper must match it decision for
+/// direct window_chance_sum walk per position (no memo, no bracket) and its
+/// own examined-revision skip. The heuristic must match it decision for
 /// decision.
 class DirectWindowDropper final : public Dropper {
  public:
+  explicit DirectWindowDropper(ProactiveHeuristicDropper::Params params)
+      : params_(params) {}
   std::string_view name() const override { return "DirectWindow"; }
 
   void run(SystemView& view, SchedulerOps& ops) override {
-    const ProactiveHeuristicDropper::Params params;
+    const ProactiveHeuristicDropper::Params params = params_;
     const auto eta = static_cast<std::size_t>(params.effective_depth);
     examined_.resize(view.machines->size(), ~std::uint64_t{0});
     for (Machine& machine : *view.machines) {
@@ -261,6 +288,7 @@ class DirectWindowDropper final : public Dropper {
   }
 
  private:
+  ProactiveHeuristicDropper::Params params_;
   std::vector<std::uint64_t> examined_;
   PmfWorkspace ws_;
 };
@@ -292,30 +320,41 @@ std::vector<Decision> trial_decisions(Dropper& dropper, std::uint64_t seed,
 TEST(HeuristicDropper, WindowMemoMatchesDirectWalkInEngineTrials) {
   // Conditioned 24-deep queues are the regime where the memo answers most
   // windows (the conditioned set_now keep bumps the revision without
-  // touching the chain); unconditioned 6-deep queues are the paper's.
+  // touching the chain); unconditioned 6-deep queues are the paper's. The
+  // (eta, beta) grid covers the one-term windows the bracket decides
+  // exactly, the paper's eta = 2, and the multi-step shift bounds of
+  // eta >= 3, with a beta that moves the threshold off 1.
   struct Case {
     int queue_capacity;
     bool conditioned;
   };
-  for (const Case c : {Case{24, true}, Case{6, false}}) {
-    for (const std::uint64_t seed : {3u, 4u}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "capacity " << c.queue_capacity << ", conditioned "
-                   << c.conditioned << ", seed " << seed);
-      DirectWindowDropper direct;
-      ProactiveHeuristicDropper memoised;
-      const std::vector<Decision> expected =
-          trial_decisions(direct, seed, c.queue_capacity, c.conditioned);
-      const std::vector<Decision> actual =
-          trial_decisions(memoised, seed, c.queue_capacity, c.conditioned);
-      ASSERT_EQ(actual.size(), expected.size());
-      const auto proactive = std::count_if(
-          expected.begin(), expected.end(), [](const Decision& d) {
-            return d.kind == DecisionKind::DropProactive;
-          });
-      EXPECT_GT(proactive, 0) << "the trial never exercised Eq. 8";
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(actual[i], expected[i]) << "decision " << i;
+  for (const ProactiveHeuristicDropper::Params params :
+       {ProactiveHeuristicDropper::Params{1, 1.0},
+        ProactiveHeuristicDropper::Params{2, 1.0},
+        ProactiveHeuristicDropper::Params{3, 1.5},
+        ProactiveHeuristicDropper::Params{5, 1.0}}) {
+    for (const Case c : {Case{24, true}, Case{6, false}}) {
+      for (const std::uint64_t seed : {3u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "eta " << params.effective_depth << ", beta "
+                     << params.beta << ", capacity " << c.queue_capacity
+                     << ", conditioned " << c.conditioned << ", seed "
+                     << seed);
+        DirectWindowDropper direct(params);
+        ProactiveHeuristicDropper memoised(params);
+        const std::vector<Decision> expected =
+            trial_decisions(direct, seed, c.queue_capacity, c.conditioned);
+        const std::vector<Decision> actual =
+            trial_decisions(memoised, seed, c.queue_capacity, c.conditioned);
+        ASSERT_EQ(actual.size(), expected.size());
+        const auto proactive = std::count_if(
+            expected.begin(), expected.end(), [](const Decision& d) {
+              return d.kind == DecisionKind::DropProactive;
+            });
+        EXPECT_GT(proactive, 0) << "the trial never exercised Eq. 8";
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(actual[i], expected[i]) << "decision " << i;
+        }
       }
     }
   }

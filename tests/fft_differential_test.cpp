@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "prob/convolution.hpp"
+#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace taskdrop {
@@ -26,15 +27,7 @@ namespace {
 
 constexpr double kTol = 1e-12;
 
-/// Restores the production crossover whatever a test does to it.
-class FftGateGuard {
- public:
-  FftGateGuard() : saved_(fft_min_bins()) {}
-  ~FftGateGuard() { set_fft_min_bins(saved_); }
-
- private:
-  std::size_t saved_;
-};
+using test::FftGateGuard;
 
 /// Direct O(n*m) coefficient-product reference, independent of the kernels.
 std::vector<double> direct_convolve(const std::vector<double>& a,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -331,6 +332,58 @@ TEST(OnlineScheduler, RejectsImpossibleEventsAndChangesNothing) {
   const auto& finished = scheduler.task_finished(5, 0);
   ASSERT_FALSE(finished.empty());
   EXPECT_EQ(finished[0], (Decision{DecisionKind::FinishOnTime, 5, 0, 0}));
+}
+
+TEST(OnlineScheduler, RejectsTimesPastTheHorizonAndChangesNothing) {
+  // Times near 2^63 used to wrap the completion chains (an arrival at
+  // 2^63 - 808 with deadline 2^63 - 1 overflowed the appended-lattice
+  // arithmetic). Every time beyond the horizon is now refused up front.
+  constexpr Tick kHorizon = SystemState::kTimeHorizon;
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
+  const PetMatrix pet = deterministic_pet();
+  auto mapper = make_mapper("FCFS");
+  NullDropper dropper;
+  OnlineConfig config;
+  config.queue_capacity = 2;
+  OnlineScheduler scheduler(pet, {0}, *mapper, dropper, config);
+  const auto& decisions = scheduler.task_arrived(0, 0, 100);
+  ASSERT_EQ(scheduler.machine(0).queue.size(), 1u);
+  const Observed before(scheduler, decisions);
+  const std::size_t tasks_before = scheduler.task_count();
+
+  const auto expect_rejected = [&](const char* what, auto&& call) {
+    EXPECT_THROW(call(), std::invalid_argument) << what;
+    EXPECT_TRUE(Observed(scheduler, decisions) == before) << what;
+    EXPECT_EQ(scheduler.task_count(), tasks_before) << what;
+  };
+  for (Tick i = 0; i < 12; ++i) {
+    expect_rejected("an arrival near 2^63", [&] {
+      scheduler.task_arrived(9223372036854775000 + i, 0, kMax);
+    });
+  }
+  expect_rejected("an advance past the horizon",
+                  [&] { scheduler.advance(kHorizon + 1); });
+  expect_rejected("a deadline past the horizon",
+                  [&] { scheduler.task_arrived(1, 0, kHorizon + 1); });
+  expect_rejected("a deadline below minus the horizon",
+                  [&] { scheduler.task_arrived(1, 0, -kHorizon - 1); });
+  expect_rejected("a registered arrival past the horizon",
+                  [&] { scheduler.register_task(0, kHorizon + 1, 100); });
+  expect_rejected("a run longer than any execution time", [&] {
+    scheduler.task_started(0, 0, 0, SystemState::kMaxExecution + 1);
+  });
+
+  // The horizon itself is a valid time, and the scheduler carries on.
+  scheduler.task_started(0, 0, 0, /*duration=*/5);
+  EXPECT_EQ(scheduler.task_finished(5, 0)[0],
+            (Decision{DecisionKind::FinishOnTime, 5, 0, 0}));
+  EXPECT_NO_THROW(scheduler.task_arrived(kHorizon, 0, kHorizon));
+  EXPECT_EQ(scheduler.now(), kHorizon);
+
+  // A PET whose execution times reach past the limit is refused outright.
+  const PetMatrix slow = pet_of({{{{SystemState::kMaxExecution + 1, 1.0}}}});
+  EXPECT_THROW(OnlineScheduler(slow, {0}, *mapper, dropper, config),
+               std::invalid_argument);
 }
 
 /// Assigns the batch front once per mapping event, breaking the

@@ -312,6 +312,42 @@ TEST(OnlineSnapshot, RestoreRejectsTruncatedSnapshot) {
   }
 }
 
+TEST(OnlineSnapshot, RestoreRejectsTimesPastTheHorizon) {
+  // A restored time obeys the same horizon as a live one: a snapshot edited
+  // to carry a clock, an arrival, a deadline or a run start past it is
+  // rejected instead of re-rooting the chains at a wrapping time.
+  ServeFixture source("PAM");
+  source.scheduler.task_arrived(3, 0, 123457);
+  const MachineId machine = source.scheduler.task(0).machine;
+  source.scheduler.task_started(3, machine, 0);
+  const std::string snapshot = snapshot_to_string(source.scheduler);
+  // The running machine's line: id, type, up, running, run_start.
+  const std::string machine_line =
+      "M " + std::to_string(machine) + " " +
+      std::to_string(source.scheduler.machine(machine).type) + " 1 1 ";
+  ASSERT_NE(snapshot.find("clock now=3\n"), std::string::npos);
+  ASSERT_NE(snapshot.find("T 0 0 3 123457 "), std::string::npos);
+  ASSERT_NE(snapshot.find(machine_line + "3 "), std::string::npos);
+  const std::string past = std::to_string(SystemState::kTimeHorizon + 1);
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = snapshot;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  for (const std::string& bad :
+       {edited("clock now=3\n", "clock now=" + past + "\n"),
+        edited("T 0 0 3 123457 ", "T 0 0 " + past + " 123457 "),
+        edited("T 0 0 3 123457 ", "T 0 0 3 " + past + " "),
+        edited("T 0 0 3 123457 ", "T 0 0 3 -" + past + " "),
+        edited(machine_line + "3 ", machine_line + past + " ")}) {
+    ServeFixture target("PAM");
+    EXPECT_THROW(restore_from_string(target.scheduler, bad),
+                 std::invalid_argument);
+  }
+  ServeFixture target("PAM");
+  EXPECT_NO_THROW(restore_from_string(target.scheduler, snapshot));
+}
+
 TEST(OnlineSnapshot, RestoreRejectsGarbage) {
   ServeFixture target("PAM");
   EXPECT_THROW(restore_from_string(target.scheduler, "not a snapshot\n"),

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -128,6 +130,73 @@ TEST(Flags, BoolFalseSpellings) {
   EXPECT_FALSE(flags.get_bool("a"));
   EXPECT_FALSE(flags.get_bool("b"));
   EXPECT_TRUE(flags.get_bool("c"));
+}
+
+/// The message a typed getter throws for `key`, or "" when it does not.
+template <typename Get>
+std::string error_of(Get&& get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Flags, IntRejectsGarbageAndTrailingCharacters) {
+  const char* argv[] = {"prog", "--a=abc", "--b=12abc", "--c=1e3",
+                        "--d=",  "--e= 7x", "--f=-42"};
+  const Flags flags(7, argv);
+  EXPECT_EQ(error_of([&] { flags.get_int("a", 0); }),
+            "--a: malformed integer 'abc'");
+  EXPECT_EQ(error_of([&] { flags.get_int("b", 0); }),
+            "--b: malformed integer '12abc'");
+  EXPECT_EQ(error_of([&] { flags.get_int("c", 0); }),
+            "--c: malformed integer '1e3'");
+  EXPECT_EQ(error_of([&] { flags.get_int("d", 0); }),
+            "--d: malformed integer ''");
+  EXPECT_THROW(flags.get_int("e", 0), std::invalid_argument);
+  EXPECT_EQ(flags.get_int("f", 0), -42);
+}
+
+TEST(Flags, IntRejectsOutOfRangeValues) {
+  const char* argv[] = {"prog", "--big=18446744073709551615",
+                        "--max=9223372036854775807",
+                        "--min=-9223372036854775808",
+                        "--under=-9223372036854775809"};
+  const Flags flags(5, argv);
+  EXPECT_EQ(error_of([&] { flags.get_int("big", 0); }),
+            "--big: integer out of range '18446744073709551615'");
+  EXPECT_EQ(flags.get_int("max", 0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(flags.get_int("min", 0), std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW(flags.get_int("under", 0), std::invalid_argument);
+}
+
+TEST(Flags, DoubleRejectsGarbageAndNonFiniteValues) {
+  const char* argv[] = {"prog", "--a=3.5x", "--b=abc", "--c=1e400",
+                        "--d=inf", "--e=nan", "--f=1e3"};
+  const Flags flags(7, argv);
+  EXPECT_EQ(error_of([&] { flags.get_double("a", 0.0); }),
+            "--a: malformed number '3.5x'");
+  EXPECT_THROW(flags.get_double("b", 0.0), std::invalid_argument);
+  EXPECT_EQ(error_of([&] { flags.get_double("c", 0.0); }),
+            "--c: number out of range '1e400'");
+  EXPECT_THROW(flags.get_double("d", 0.0), std::invalid_argument);
+  EXPECT_THROW(flags.get_double("e", 0.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(flags.get_double("f", 0.0), 1000.0);
+}
+
+TEST(Flags, BoolAcceptsOnlyItsFourSpellings) {
+  const char* argv[] = {"prog", "--switch", "--one=1",  "--no=no",
+                        "--yes=yes", "--two=2", "--upper=TRUE"};
+  const Flags flags(7, argv);
+  EXPECT_TRUE(flags.get_bool("switch"));
+  EXPECT_TRUE(flags.get_bool("one"));
+  EXPECT_EQ(error_of([&] { flags.get_bool("no"); }),
+            "--no: expected 0/1/true/false, got 'no'");
+  EXPECT_THROW(flags.get_bool("yes"), std::invalid_argument);
+  EXPECT_THROW(flags.get_bool("two"), std::invalid_argument);
+  EXPECT_THROW(flags.get_bool("upper"), std::invalid_argument);
 }
 
 }  // namespace

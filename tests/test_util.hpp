@@ -1,10 +1,12 @@
 #pragma once
 
+#include <cstddef>
 #include <initializer_list>
 #include <utility>
 #include <vector>
 
 #include "pet/pet_matrix.hpp"
+#include "prob/fft.hpp"
 #include "prob/pmf.hpp"
 
 namespace taskdrop::test {
@@ -45,5 +47,18 @@ inline PetMatrix single_cell_pet(
                                                        impulses.end())}},
                 stride);
 }
+
+/// Restores the production FFT crossover (fft_min_bins) whatever a test
+/// does to it.
+class FftGateGuard {
+ public:
+  FftGateGuard() : saved_(fft_min_bins()) {}
+  ~FftGateGuard() { set_fft_min_bins(saved_); }
+  FftGateGuard(const FftGateGuard&) = delete;
+  FftGateGuard& operator=(const FftGateGuard&) = delete;
+
+ private:
+  std::size_t saved_;
+};
 
 }  // namespace taskdrop::test

@@ -3,8 +3,10 @@
 # line must fail with a line-numbered message, the shutdown stats summary
 # must survive error teardown, and --on-error=skip must recover — emitting
 # a structured error record while later decisions and the stats stay
-# intact. Also covers CLI flag validation (negative --seed, bogus
-# --on-error, out-of-range run/serve sizes).
+# intact. Also covers times past the scheduler's horizon and CLI flag
+# validation (negative --seed, bogus --on-error, out-of-range run/serve
+# sizes, and typed flag values that are garbage, carry trailing
+# characters, overflow, or spell a bool other than 0/1/true/false).
 #
 #   tools/serve_errors_test.sh <taskdrop_cli>
 set -euo pipefail
@@ -80,6 +82,21 @@ expect_abort unknown_event \
 frobnicate 1 2
 EOF
 
+# Times near 2^63 used to wrap the completion chains; every time past the
+# horizon is refused before it changes anything.
+near_max_stream=$(for i in $(seq 0 11); do
+  echo "arrive $((9223372036854775000 + i)) 0 9223372036854775807"
+done)
+expect_abort time_past_horizon \
+    "stream line 1: arrival 9223372036854775000 is outside the time horizon" \
+    <<< "$near_max_stream"
+expect_abort deadline_past_horizon \
+    "stream line 2: deadline 4611686018427387905 is outside the time horizon" \
+    <<'EOF'
+arrive 0 0 50
+arrive 1 0 4611686018427387905
+EOF
+
 # --on-error=skip: the same stream with one bad line in the middle must
 # exit 0, log a structured error record in place, produce the identical
 # decision records otherwise, and count the skip in the stats.
@@ -108,6 +125,23 @@ diff "$skip_dir/clean.log" "$skip_dir/broken_filtered.log" ||
     fail "skip: decisions after the bad line diverged from the clean run"
 grep -q "^lines_skipped=1$" "$skip_dir/broken_stats.txt" ||
     fail "skip: stats did not count the skipped line"
+
+# Skip mode drops each past-horizon line and leaves the rest of the run
+# exactly as the clean stream decides it.
+{ sed -n '1,3p' "$skip_dir/clean.stream"; echo "$near_max_stream"
+  sed -n '4,$p' "$skip_dir/clean.stream"; } > "$skip_dir/horizon.stream"
+"$cli" serve "${serve_args[@]}" --on-error=skip \
+    --stream="$skip_dir/horizon.stream" \
+    --out="$skip_dir/horizon.log" --stats-out="$skip_dir/horizon_stats.txt" ||
+    fail "horizon skip: expected exit 0 on skipped lines"
+grep -qF 'line=15 msg="arrival 9223372036854775011 is outside the time' \
+    "$skip_dir/horizon.log" ||
+    fail "horizon skip: structured error record missing from the decision log"
+grep -v '^error ' "$skip_dir/horizon.log" > "$skip_dir/horizon_filtered.log"
+diff "$skip_dir/clean.log" "$skip_dir/horizon_filtered.log" ||
+    fail "horizon skip: decisions diverged from the clean run"
+grep -q "^lines_skipped=12$" "$skip_dir/horizon_stats.txt" ||
+    fail "horizon skip: stats did not count the twelve skipped lines"
 
 # In abort mode the same broken stream must stop at the bad line.
 status=0
@@ -152,6 +186,32 @@ expect_flag_error snapshot_every_without_out \
 expect_flag_error serve_capacity_overflow \
     "--capacity: integer out of range '4294967302'" \
     serve "${serve_args[@]}" --capacity=4294967302 --stream=/dev/null
+
+# Typed flag values parse whole or not at all: no silent seed 0 for
+# garbage, no truncation at trailing characters, no clamping on overflow,
+# and no bool that reads anything but 0/1/true/false as true.
+expect_flag_error serve_seed_garbage "--seed: malformed integer 'abc'" \
+    serve "${serve_args[@]}" --seed=abc --stream=/dev/null
+expect_flag_error serve_seed_trailing "--seed: malformed integer '12abc'" \
+    serve "${serve_args[@]}" --seed=12abc --stream=/dev/null
+expect_flag_error serve_seed_overflow \
+    "--seed: integer out of range '18446744073709551615'" \
+    serve "${serve_args[@]}" --seed=18446744073709551615 --stream=/dev/null
+expect_flag_error serve_snapshot_every_garbage \
+    "--snapshot-every: malformed integer 'abc'" \
+    serve "${serve_args[@]}" --snapshot-every=abc \
+    --snapshot-out="$tmp_dir/snap" --stream=/dev/null
+expect_flag_error serve_watermark_exponent \
+    "--shed-watermark: malformed integer '1e3'" \
+    serve "${serve_args[@]}" --shed-watermark=1e3 --stream=/dev/null
+expect_flag_error serve_bool_spelling \
+    "--condition-running: expected 0/1/true/false, got 'no'" \
+    serve "${serve_args[@]}" --condition-running=no --stream=/dev/null
+expect_flag_error run_seed_garbage "--seed: malformed integer '7x'" \
+    --scenario=spec_hc --mapper=PAM --dropper=heuristic --tasks=100 \
+    --trials=1 --seed=7x
+expect_flag_error sweep_threads_garbage "--threads: malformed integer '2x'" \
+    sweep --mapper=PAM --dropper=heuristic --tasks=100 --trials=1 --threads=2x
 
 # run resolves its flags through the sweep spec checks: task counts,
 # oversubscription and capacity are range-checked before any trial runs.
