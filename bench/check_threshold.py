@@ -17,6 +17,9 @@ threshold x baseline. The threshold is per benchmark:
   * PER_BENCH_MAX_RATIO pins exact keys that need their own allowance,
     overriding both rules above.
 
+A benchmark run with repetitions is compared by its median aggregate;
+the other aggregates are ignored.
+
 Accepts both the micro (taskdrop-bench-micro/v1) and macro
 (taskdrop-bench-macro/v1) merged-JSON schemas produced by bench/run_all.sh.
 Benchmarks present on only one side are reported but never fail the check,
@@ -57,6 +60,10 @@ def threshold_for(key, baseline_ns, base_ratio):
     return base_ratio
 
 
+def nanoseconds(bench):
+    return bench["cpu_time"] * UNIT_NS[bench.get("time_unit", "ns")]
+
+
 def load(path):
     with open(path) as fh:
         merged = json.load(fh)
@@ -64,12 +71,18 @@ def load(path):
         sys.exit(f"{path}: unexpected schema {merged.get('schema')!r} "
                  f"(accepted: {', '.join(ACCEPTED_SCHEMAS)})")
     times = {}
+    medians = {}
     for suite, payload in merged["benchmarks"].items():
         for bench in payload.get("benchmarks", []):
             if bench.get("run_type") == "aggregate":
+                if bench.get("aggregate_name") == "median":
+                    medians[f"{suite}/{bench['run_name']}"] = nanoseconds(
+                        bench)
                 continue
-            key = f"{suite}/{bench['name']}"
-            times[key] = bench["cpu_time"] * UNIT_NS[bench.get("time_unit", "ns")]
+            times[f"{suite}/{bench['name']}"] = nanoseconds(bench)
+    # A repeated benchmark is gated on the median of its repetitions, not
+    # on whichever repetition came last.
+    times.update(medians)
     return times
 
 

@@ -80,6 +80,19 @@ class LoadTest(unittest.TestCase):
             })
             self.assertEqual(times, {"suite/BM_A/8": 2000.0})
 
+    def test_repeated_benchmark_is_gated_on_its_median(self):
+        rows = [{"name": "BM_R/2", "run_name": "BM_R/2", "cpu_time": t,
+                 "time_unit": "ns", "run_type": "iteration"}
+                for t in (300.0, 900.0, 310.0)]
+        rows += [{"name": "BM_R/2_" + name, "run_name": "BM_R/2",
+                  "cpu_time": t, "time_unit": "ns", "run_type": "aggregate",
+                  "aggregate_name": name}
+                 for name, t in (("mean", 503.3), ("median", 310.0),
+                                 ("stddev", 343.5))]
+        times = self._load({"schema": ct.ACCEPTED_SCHEMAS[0],
+                            "benchmarks": {"suite": {"benchmarks": rows}}})
+        self.assertEqual(times, {"suite/BM_R/2": 310.0})
+
     def test_rejects_unknown_schema(self):
         path = self._write({"schema": "nonsense/v9", "benchmarks": {}})
         try:

@@ -12,6 +12,7 @@
 //
 // The demo shows that even a random mapper recovers most of its lost
 // robustness once the paper's autonomous heuristic dropper is attached.
+#include <exception>
 #include <iostream>
 
 #include "core/null_dropper.hpp"
@@ -85,7 +86,7 @@ double run_once(const Scenario& scenario, Mapper& mapper, Dropper& dropper,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const auto n_tasks = static_cast<int>(flags.get_int("tasks", 3000));
@@ -114,4 +115,7 @@ int main(int argc, char** argv) {
                "mapper, while the naive zero-chance dropper helps less —\n"
                "it waits until a task is already doomed.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "custom_heuristic: " << error.what() << "\n";
+  return 1;
 }

@@ -3,6 +3,7 @@
 // a small fixed cluster is pushed through increasing oversubscription
 // levels with *bursty* arrivals, and we track how gracefully robustness
 // degrades with and without the autonomous dropping heuristic.
+#include <exception>
 #include <iostream>
 
 #include "exp/experiment.hpp"
@@ -11,7 +12,7 @@
 
 using namespace taskdrop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv);
 
   ExperimentConfig config;
@@ -47,4 +48,7 @@ int main(int argc, char** argv) {
                "under heavy bursts it redirects machine time from doomed\n"
                "tasks to ones that can still meet their deadlines.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "edge_oversubscription: " << error.what() << "\n";
+  return 1;
 }

@@ -6,6 +6,7 @@
 //   * ReactDrop  — reactive only,
 //   * Heuristic  — the paper's autonomous proactive dropping,
 //   * Approx     — drop-or-downgrade (approximate computing).
+#include <exception>
 #include <iostream>
 
 #include "exp/experiment.hpp"
@@ -14,7 +15,7 @@
 
 using namespace taskdrop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv);
 
   ExperimentConfig config;
@@ -55,4 +56,7 @@ int main(int argc, char** argv) {
                "machine time. The approximate variant converts part of the\n"
                "would-be drops into half-credit completions.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "failure_resilience: " << error.what() << "\n";
+  return 1;
 }

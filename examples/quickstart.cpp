@@ -3,6 +3,7 @@
 // dropping heuristic, and compare robustness.
 //
 //   ./examples/quickstart [--tasks=3000] [--oversub=3.0] [--seed=42]
+#include <exception>
 #include <iostream>
 
 #include "exp/experiment.hpp"
@@ -10,7 +11,7 @@
 
 using namespace taskdrop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv);
 
   // 1. Describe the experiment: the SPECint-like scenario of section V-A
@@ -65,4 +66,7 @@ int main(int argc, char** argv) {
             << "  reactive share of queue drops: "
             << proactive.reactive_share.mean << " %\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "quickstart: " << error.what() << "\n";
+  return 1;
 }

@@ -7,6 +7,7 @@
 // This example reproduces the Fig. 10 sweep — three mapping heuristics with
 // and without proactive dropping — and also prints the incurred cost, which
 // is where dropping pays twice (fewer wasted machine-hours).
+#include <exception>
 #include <iostream>
 
 #include "exp/experiment.hpp"
@@ -15,7 +16,7 @@
 
 using namespace taskdrop;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Flags flags(argc, argv);
 
   ExperimentConfig config;
@@ -55,4 +56,7 @@ int main(int argc, char** argv) {
                "dropper compensates for poor mapping decisions (section "
                "V-H).\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "video_transcoding: " << error.what() << "\n";
+  return 1;
 }

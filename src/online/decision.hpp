@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string_view>
@@ -72,10 +73,21 @@ struct Decision {
   bool operator==(const Decision&) const = default;
 };
 
+/// Room one rendered record needs, newline excluded: the widest record,
+/// with time and task at INT64_MIN, the longest kind name (decision.cpp
+/// checks every name fits) and the widest machine id.
+inline constexpr std::size_t kMaxDecisionChars =
+    sizeof("t=-9223372036854775808 kind=expire_unmapped "
+           "task=-9223372036854775808 machine=2147483647") - 1;
+
 /// One-line textual rendering, the record format of `taskdrop_cli serve`:
 ///   `t=<time> kind=<kind> task=<id> machine=<id>`
-/// (machine omitted when -1). Deterministic — the serve golden files
-/// byte-diff against it.
+/// (machine omitted when negative). Writes it into `buf`, which holds at
+/// least kMaxDecisionChars characters, and returns one past its last
+/// character. Deterministic — the serve golden files byte-diff against it.
+char* render_decision(char* buf, const Decision& decision);
+
+/// Writes render_decision's record.
 std::ostream& operator<<(std::ostream& out, const Decision& decision);
 
 }  // namespace taskdrop

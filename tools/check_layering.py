@@ -24,7 +24,8 @@ layering DAG — suites may reach into any layer):
    hot paths stay allocation-free. `convolve(` / `deadline_convolve(` are
    flagged outside src/prob; a deliberate exception (e.g. a benchmark of
    the allocating kernel itself) carries a
-   `layering-allow(direct-convolve)` comment on the same or previous line.
+   `layering-allow(direct-convolve)` comment on the same line or in the
+   comment block directly above.
 
 4. *No FFT-plan bypass outside the prob layer*: the radix-2 kernel in
    `prob/fft.hpp` does not preserve the direct kernels' summation order, so
@@ -32,7 +33,8 @@ layering DAG — suites may reach into any layer):
    crossover gate inside the `*_into` kernels). Including `prob/fft.hpp` or
    naming `FftPlan` outside src/prob is flagged; a deliberate exception
    (e.g. a benchmark pinning the gate) carries a
-   `layering-allow(fft-plan)` comment on the same or previous line.
+   `layering-allow(fft-plan)` comment on the same line or in the comment
+   block directly above.
 
 5. *No floating-point literal ==/!= in src/*: bitwise float comparison
    belongs to the lockdown test suites; in src/ an exact compare against a
@@ -72,7 +74,9 @@ LAYERS = {
 
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".h"}
 
-INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+# Horizontal whitespace only: `\s` would span the blank lines that comment
+# stripping leaves above an include and report it at the first of them.
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]+"([^"]+)"', re.MULTILINE)
 ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
 DIRECT_CONVOLVE_RE = re.compile(r"(?<![\w_])(?:deadline_)?convolve\s*\(")
 FFT_PLAN_RE = re.compile(r"(?<![\w_])FftPlan(?![\w_])")
@@ -177,12 +181,21 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-def line_allowed(lines: list[str], index: int, marker: str) -> bool:
-    """True when `marker` appears on the flagged line or the one above it
-    (markers live in comments, so search the raw source lines)."""
+def line_allowed(lines: list[str], code_lines: list[str], index: int,
+                 marker: str) -> bool:
+    """True when `marker` appears on the flagged line or on any line of the
+    comment block directly above it (markers live in comments, so search
+    the raw source lines; a comment-only line is one that is blank once
+    comments are stripped)."""
     if marker in lines[index]:
         return True
-    return index > 0 and marker in lines[index - 1]
+    above = index - 1
+    while (above >= 0 and lines[above].strip()
+           and not code_lines[above].strip()):
+        if marker in lines[above]:
+            return True
+        above -= 1
+    return False
 
 
 def check_file(path: Path, root: Path, edges: dict) -> list:
@@ -203,7 +216,8 @@ def check_file(path: Path, root: Path, edges: dict) -> list:
             line = include_text.count("\n", 0, match.start()) + 1
             edges.setdefault((module, target), []).append((path, line))
             if (module != "prob" and match.group(1) == FFT_INCLUDE
-                    and not line_allowed(raw_lines, line - 1, ALLOW_FFT)):
+                    and not line_allowed(raw_lines, code_lines, line - 1,
+                                         ALLOW_FFT)):
                 violations.append(
                     Violation(
                         path, line, "fft-plan",
@@ -229,7 +243,8 @@ def check_file(path: Path, root: Path, edges: dict) -> list:
                     "bad inputs too)"))
         if (module is not None and not in_prob
                 and DIRECT_CONVOLVE_RE.search(text)
-                and not line_allowed(raw_lines, i, ALLOW_CONVOLVE)):
+                and not line_allowed(raw_lines, code_lines, i,
+                                     ALLOW_CONVOLVE)):
             violations.append(
                 Violation(
                     path, i + 1, "direct-convolve",
@@ -238,7 +253,7 @@ def check_file(path: Path, root: Path, edges: dict) -> list:
                     f"with {ALLOW_CONVOLVE})"))
         if (module is not None and not in_prob
                 and FFT_PLAN_RE.search(text)
-                and not line_allowed(raw_lines, i, ALLOW_FFT)):
+                and not line_allowed(raw_lines, code_lines, i, ALLOW_FFT)):
             violations.append(
                 Violation(
                     path, i + 1, "fft-plan",
@@ -247,7 +262,8 @@ def check_file(path: Path, root: Path, edges: dict) -> list:
                     f"(or annotate with {ALLOW_FFT})"))
         if (module is not None and module not in ("cli", "bench", "examples")
                 and FLOAT_EQ_RE.search(text)
-                and not line_allowed(raw_lines, i, ALLOW_FLOAT_EQ)):
+                and not line_allowed(raw_lines, code_lines, i,
+                                     ALLOW_FLOAT_EQ)):
             violations.append(
                 Violation(
                     path, i + 1, "float-eq",

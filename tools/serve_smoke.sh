@@ -3,7 +3,8 @@
 # `taskdrop_cli serve` and require the decision log to be byte-identical
 # to the committed golden — the online admission service's end-to-end
 # determinism contract (stats go to a side channel, so the log carries no
-# timing noise).
+# timing noise). The stream goes in twice: as --stream with the log in
+# --out, and on stdin with the log on stdout.
 #
 #   tools/serve_smoke.sh <taskdrop_cli> <events.stream> <decisions.golden>
 set -euo pipefail
@@ -20,4 +21,8 @@ trap 'rm -rf "$tmp_dir"' EXIT
     --stats-out="$tmp_dir/stats.txt"
 diff "$golden" "$tmp_dir/decisions.log"
 cat "$tmp_dir/stats.txt"
-echo "serve smoke OK: decision log is byte-identical to $(basename "$golden")"
+
+"$cli" serve --scenario=spec_hc --mapper=PAM --dropper=heuristic \
+    --volatile < "$stream" > "$tmp_dir/stdout.log" 2> "$tmp_dir/stderr.txt"
+diff "$golden" "$tmp_dir/stdout.log"
+echo "serve smoke OK: decision log (--out and stdout) is byte-identical to $(basename "$golden")"

@@ -118,6 +118,7 @@
 #include "exp/sweep.hpp"
 #include "metrics/report.hpp"
 #include "online/online_scheduler.hpp"
+#include "online/stream_event.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
 #include "util/spec_parser.hpp"
@@ -471,66 +472,6 @@ int run_merge_command(const Flags& flags,
   });
 }
 
-/// One parsed line of the serve event stream.
-struct StreamEvent {
-  enum class Kind { Arrive, Finish, Down, Up, Advance } kind;
-  Tick t = 0;
-  int a = 0;        ///< type (arrive) or machine (finish/down/up)
-  long long b = 0;  ///< deadline (arrive only)
-};
-
-/// Parses one non-empty, non-comment stream line; throws with the token
-/// that failed (the caller prefixes the line number).
-StreamEvent parse_stream_event(const std::string& line) {
-  std::istringstream in(line);
-  std::string op;
-  in >> op;
-  StreamEvent event;
-  int operands = 0;
-  if (op == "arrive") {
-    event.kind = StreamEvent::Kind::Arrive;
-    operands = 3;
-  } else if (op == "finish") {
-    event.kind = StreamEvent::Kind::Finish;
-    operands = 2;
-  } else if (op == "down") {
-    event.kind = StreamEvent::Kind::Down;
-    operands = 2;
-  } else if (op == "up") {
-    event.kind = StreamEvent::Kind::Up;
-    operands = 2;
-  } else if (op == "advance") {
-    event.kind = StreamEvent::Kind::Advance;
-    operands = 1;
-  } else {
-    throw std::invalid_argument(
-        "unknown event '" + op +
-        "' (available: arrive, finish, down, up, advance)");
-  }
-  long long fields[3] = {0, 0, 0};
-  for (int i = 0; i < operands; ++i) {
-    if (!(in >> fields[i])) {
-      throw std::invalid_argument("event '" + op + "' needs " +
-                                  std::to_string(operands) +
-                                  " integer operand(s)");
-    }
-  }
-  std::string trailing;
-  if (in >> trailing) {
-    throw std::invalid_argument("trailing token '" + trailing +
-                                "' after event '" + op + "'");
-  }
-  if (fields[1] < std::numeric_limits<int>::min() ||
-      fields[1] > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("operand " + std::to_string(fields[1]) +
-                                " of event '" + op + "' out of range");
-  }
-  event.t = fields[0];
-  event.a = static_cast<int>(fields[1]);
-  event.b = fields[2];
-  return event;
-}
-
 /// Validates a non-negative int-ranged serve flag (shed watermarks).
 int nonnegative_int_flag(const Flags& flags, const char* name) {
   const long long value = flags.get_int(name, 0);
@@ -678,14 +619,15 @@ int run_serve_command(const Flags& flags) {
 
   std::string line;
   long long line_no = 0;
+  // One event's decision records, handed to the log in one write.
+  std::string records;
   // One bad stream line must not cost the operator the whole run's stats:
   // every exit path below — clean EOF and error teardown alike — funnels
   // through the shutdown summary at the end of this function.
   const auto process_stream = [&]() {
     while (std::getline(*events, line)) {
       ++line_no;
-      const auto first = line.find_first_not_of(" \t\r");
-      if (first == std::string::npos || line[first] == '#') continue;
+      if (is_blank_or_comment(line)) continue;
       try {
         const StreamEvent event = parse_stream_event(line);
         // The scheduler validates every event and rejects it before any
@@ -720,6 +662,7 @@ int run_serve_command(const Flags& flags) {
         latency_ns.add(static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
                 .count()));
+        records.clear();
         for (const Decision& decision : *decisions) {
           ++decisions_out;
           switch (decision.kind) {
@@ -729,7 +672,13 @@ int run_serve_command(const Flags& flags) {
             case DecisionKind::ShedOverload: ++shed; break;
             default: break;
           }
-          *out << decision << '\n';
+          char record[kMaxDecisionChars];
+          records.append(record, render_decision(record, decision));
+          records.push_back('\n');
+        }
+        if (!records.empty()) {
+          out->write(records.data(),
+                     static_cast<std::streamsize>(records.size()));
         }
         // Periodic crash checkpoint: the decision log is flushed first so
         // the snapshot never claims events whose decisions have not hit the

@@ -50,6 +50,17 @@ class CheckLayeringTest(unittest.TestCase):
         self.assertIn("cost (layer 2) must not include sim (layer 3)",
                       violations[0].message)
 
+    def test_include_after_blank_and_comment_lines_reports_its_own_line(self):
+        self.tree.write("src/cost/cost_model.hpp",
+                        "#pragma once\n"
+                        "\n"
+                        "\n"
+                        "// Costs per machine type.\n"
+                        '#include "sim/sim_result.hpp"\n')
+        violations, _ = self.tree.scan()
+        self.assertEqual(self.rules_of(violations), ["layering"])
+        self.assertEqual(violations[0].line, 5)
+
     def test_downward_and_same_layer_includes_are_clean(self):
         self.tree.write("src/sim/engine.cpp",
                         '#include "core/dropper.hpp"\n'   # same layer
@@ -185,6 +196,35 @@ class CheckLayeringTest(unittest.TestCase):
             '#include "prob/fft.hpp"\n')
         violations, _ = self.tree.scan()
         self.assertEqual(violations, [])
+
+    def test_fft_marker_in_the_comment_block_above_suppresses(self):
+        # A two-line comment ending in the marker, and a marker further up
+        # the block.
+        self.tree.write(
+            "src/core/model.cpp",
+            '#include "core/model.hpp"\n'
+            "\n"
+            "// The bracket sizes its margin from the FFT crossover.\n"
+            "// layering-allow(fft-plan)\n"
+            '#include "prob/fft.hpp"\n')
+        self.tree.write(
+            "src/sched/pam.cpp",
+            "\n"
+            "// layering-allow(fft-plan): the probe sizes its FFT margin\n"
+            "// from the crossover gate.\n"
+            '#include "prob/fft.hpp"\n')
+        violations, _ = self.tree.scan()
+        self.assertEqual(violations, [])
+
+    def test_fft_marker_above_a_blank_line_does_not_suppress(self):
+        self.tree.write(
+            "src/core/model.cpp",
+            "// layering-allow(fft-plan)\n"
+            "\n"
+            '#include "prob/fft.hpp"\n')
+        violations, _ = self.tree.scan()
+        self.assertEqual(self.rules_of(violations), ["fft-plan"])
+        self.assertEqual(violations[0].line, 3)
 
     def test_fft_mentioned_in_comment_is_clean(self):
         self.tree.write("src/core/model.cpp",
