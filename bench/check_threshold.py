@@ -18,7 +18,9 @@ threshold x baseline. The threshold is per benchmark:
     overriding both rules above.
 
 A benchmark run with repetitions is compared by its median aggregate;
-the other aggregates are ignored.
+the other aggregates are ignored. Its `/repeats:N` name suffix is dropped
+from the key, so a repeated row still matches a baseline recorded without
+repetitions (or with another N).
 
 Accepts both the micro (taskdrop-bench-micro/v1) and macro
 (taskdrop-bench-macro/v1) merged-JSON schemas produced by bench/run_all.sh.
@@ -28,9 +30,14 @@ unit-tested by bench/test_check_threshold.py (wired into ctest).
 """
 import argparse
 import json
+import re
 import sys
 
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+#: Google Benchmark appends this to the name of a family run with
+#: Repetitions(N).
+REPEATS_SUFFIX = re.compile(r"/repeats:\d+$")
 
 ACCEPTED_SCHEMAS = ("taskdrop-bench-micro/v1", "taskdrop-bench-macro/v1")
 
@@ -60,6 +67,11 @@ def threshold_for(key, baseline_ns, base_ratio):
     return base_ratio
 
 
+def bench_key(suite, name):
+    """Gate key of one row: suite/name without a trailing /repeats:N."""
+    return f"{suite}/{REPEATS_SUFFIX.sub('', name)}"
+
+
 def nanoseconds(bench):
     return bench["cpu_time"] * UNIT_NS[bench.get("time_unit", "ns")]
 
@@ -76,10 +88,10 @@ def load(path):
         for bench in payload.get("benchmarks", []):
             if bench.get("run_type") == "aggregate":
                 if bench.get("aggregate_name") == "median":
-                    medians[f"{suite}/{bench['run_name']}"] = nanoseconds(
-                        bench)
+                    medians[bench_key(suite, bench["run_name"])] = (
+                        nanoseconds(bench))
                 continue
-            times[f"{suite}/{bench['name']}"] = nanoseconds(bench)
+            times[bench_key(suite, bench["name"])] = nanoseconds(bench)
     # A repeated benchmark is gated on the median of its repetitions, not
     # on whichever repetition came last.
     times.update(medians)

@@ -66,8 +66,9 @@ constexpr TrialCase kCases[] = {
     // granularity. PAM_cond is the paper-shaped mix (proactive heuristic
     // dropper, so A/B-identical mapper+dropper scanning dilutes the
     // ratio); PAM_cond_thr swaps in the cheap threshold dropper, leaving
-    // chain maintenance as the dominant cost — the regime ROADMAP item 5's
-    // failure-first study runs in — where the keeps are worth ~2-3x.
+    // chain maintenance as the dominant cost — the regime a failure-first
+    // robustness study (MTBF/MTTR sweeps) would run in — where the keeps
+    // are worth ~2-3x.
     {"spec_hc/PAM_cond/4k", ScenarioKind::SpecHC, "PAM", "heuristic", 4000,
      6.0, 256, /*conditioned=*/true, 0.0, 0.0, /*paranoid=*/false,
      /*queue_capacity=*/24},

@@ -93,6 +93,29 @@ class LoadTest(unittest.TestCase):
                             "benchmarks": {"suite": {"benchmarks": rows}}})
         self.assertEqual(times, {"suite/BM_R/2": 310.0})
 
+    def test_repeats_suffix_is_dropped_from_the_key(self):
+        # Google Benchmark renames a family given Repetitions(5) to
+        # ".../repeats:5"; its median must still match a baseline row
+        # recorded without repetitions.
+        rows = [{"name": "BM_R/2/repeats:5", "run_name": "BM_R/2/repeats:5",
+                 "cpu_time": t, "time_unit": "ns", "run_type": "iteration"}
+                for t in (300.0, 900.0, 310.0)]
+        rows.append({"name": "BM_R/2/repeats:5_median",
+                     "run_name": "BM_R/2/repeats:5", "cpu_time": 310.0,
+                     "time_unit": "ns", "run_type": "aggregate",
+                     "aggregate_name": "median"})
+        rows.append({"name": "BM_S/repeats:12x", "cpu_time": 5.0,
+                     "time_unit": "ns"})
+        times = self._load({"schema": ct.ACCEPTED_SCHEMAS[0],
+                            "benchmarks": {"suite": {"benchmarks": rows}}})
+        self.assertEqual(times, {"suite/BM_R/2": 310.0,
+                                 "suite/BM_S/repeats:12x": 5.0})
+        baseline = self._load({"schema": ct.ACCEPTED_SCHEMAS[0],
+                               "benchmarks": {"suite": {"benchmarks": [
+                                   {"name": "BM_R/2", "cpu_time": 300.0,
+                                    "time_unit": "ns"}]}}})
+        self.assertEqual(baseline.keys() & times.keys(), {"suite/BM_R/2"})
+
     def test_rejects_unknown_schema(self):
         path = self._write({"schema": "nonsense/v9", "benchmarks": {}})
         try:

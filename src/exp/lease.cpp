@@ -104,11 +104,6 @@ std::string unique_suffix() {
          std::to_string(sequence.fetch_add(1));
 }
 
-std::string range_text(const SweepLeaseRange& lease) {
-  return "lease " + std::to_string(lease.id) + " [" +
-         std::to_string(lease.begin) + ", " + std::to_string(lease.end) + ")";
-}
-
 /// Renews a claim's heartbeat from a background thread while the owning
 /// worker computes the lease body.
 class HeartbeatGuard {
@@ -307,7 +302,7 @@ LeasePlan LeasePlan::from_text(const std::string& text) {
     if (lease.id != static_cast<long long>(i) ||
         lease.begin != (plan.ranges.empty() ? 0 : plan.ranges.back().end)) {
       fail("lease ranges do not tile the unit grid in order at " +
-           range_text(lease));
+           lease_text(lease));
     }
     plan.ranges.push_back(lease);
   }
@@ -489,13 +484,13 @@ ElasticSweepStats run_sweep_elastic(const SweepSpec& spec,
         progressed = true;
         if (!ran[i]) {
           ++stats.leases_skipped;
-          emit(range_text(lease) + " already done");
+          emit(lease_text(lease) + " already done");
         }
         continue;
       }
       if (claim == LeaseDir::Claim::Busy) continue;
       const bool stolen = claim == LeaseDir::Claim::Stolen;
-      emit(range_text(lease) + (stolen ? " stolen from expired claim"
+      emit(lease_text(lease) + (stolen ? " stolen from expired claim"
                                        : " acquired"));
       SweepReport report;
       {
@@ -522,7 +517,7 @@ ElasticSweepStats run_sweep_elastic(const SweepSpec& spec,
       ++stats.leases_run;
       if (stolen) ++stats.leases_stolen;
       progressed = true;
-      emit(range_text(lease) + " published");
+      emit(lease_text(lease) + " published");
     }
     if (std::find(finished.begin(), finished.end(), false) ==
         finished.end()) {

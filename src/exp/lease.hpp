@@ -13,13 +13,13 @@ namespace taskdrop {
 // --- Elastic lease-based sweep execution. A lease directory is a
 // filesystem coordinator shared by any number of worker processes on one
 // host: the unit grid (flat cell-major (cell, trial) indices, see
-// sweep_unit) is partitioned into contiguous ranges by a plan file, and
-// each range is claimed through an atomically created claim file carrying
-// a monotonic heartbeat. Workers renew their heartbeat while computing,
-// publish the range's mergeable shard JSON atomically, and release; a
-// worker that finds a claim whose heartbeat is older than the timeout
-// steals it (rename-away, so exactly one thief wins) and re-runs the
-// range. Deterministic per-(cell, trial) seeding makes re-execution safe:
+// sweep_unit) is partitioned into contiguous (stride-1) leases by a plan
+// file, and each range is claimed through an atomically created claim
+// file carrying a monotonic heartbeat. Workers renew their heartbeat while
+// computing, publish the range's mergeable shard JSON atomically, and
+// release; a worker that finds a claim whose heartbeat is older than the
+// timeout steals it (rename-away, so exactly one thief wins) and re-runs
+// the range. Deterministic per-(cell, trial) seeding makes re-execution safe:
 // a stolen range reproduces the exact bytes, and merge_sweep_reports with
 // allow_reexecuted verifies that bitwise. Killing every worker and
 // re-launching resumes for free — ranges whose result files landed are

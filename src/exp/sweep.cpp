@@ -502,18 +502,6 @@ std::vector<std::string> active_axes_of(const SweepSpec& spec) {
   return axes;
 }
 
-void ShardSpec::validate() const {
-  if (count < 1) {
-    throw std::invalid_argument("shard count must be >= 1, got " +
-                                std::to_string(count));
-  }
-  if (index < 0 || index >= count) {
-    throw std::invalid_argument("shard index must be in [0, " +
-                                std::to_string(count) + "), got " +
-                                std::to_string(index));
-  }
-}
-
 void SweepLeaseRange::validate() const {
   if (id < 0) {
     throw std::invalid_argument("lease id must be >= 0, got " +
@@ -524,10 +512,22 @@ void SweepLeaseRange::validate() const {
         "lease range must be non-empty, got [" + std::to_string(begin) +
         ", " + std::to_string(end) + ")");
   }
+  if (stride < 1) {
+    throw std::invalid_argument("lease stride must be >= 1, got " +
+                                std::to_string(stride));
+  }
+}
+
+std::string lease_text(const SweepLeaseRange& lease) {
+  std::string text = "lease " + std::to_string(lease.id) + " [" +
+                     std::to_string(lease.begin) + ", " +
+                     std::to_string(lease.end) + ")";
+  if (lease.stride != 1) text += " stride " + std::to_string(lease.stride);
+  return text;
 }
 
 SpecMap canonical_spec_map(const SweepSpec& spec) {
-  // A shard/lease report is only mergeable if re-expanding its spec header
+  // A lease report is only mergeable if re-expanding its spec header
   // reproduces this grid exactly — cell for cell, since the merge
   // attributes trial payloads by cell index. A map-level fixpoint check
   // is not enough: a hand-built dropper variant list can render to a
@@ -556,37 +556,25 @@ SpecMap canonical_spec_map(const SweepSpec& spec) {
 
 SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   spec.validate();
-  if (options.shard && options.lease) {
-    throw std::invalid_argument(
-        "run_sweep: shard and lease options are mutually exclusive");
-  }
-  const ShardSpec shard = options.shard.value_or(ShardSpec{});
-  shard.validate();
 
   SweepReport report;
   report.name = spec.name;
   report.active_axes = active_axes_of(spec);
   const std::vector<SweepCell> cells = expand(spec);
-  if (options.shard || options.lease) {
-    report.spec_map = canonical_spec_map(spec);
-    if (options.shard) report.shard = shard;
-  }
   if (options.lease) {
     options.lease->validate();
     const std::size_t units =
         cells.size() * static_cast<std::size_t>(spec.trials);
     if (options.lease->end > units) {
-      throw std::invalid_argument(
-          "lease range [" + std::to_string(options.lease->begin) + ", " +
-          std::to_string(options.lease->end) + ") exceeds the grid's " +
-          std::to_string(units) + " units");
+      throw std::invalid_argument(lease_text(*options.lease) +
+                                  " exceeds the grid's " +
+                                  std::to_string(units) + " units");
     }
+    report.spec_map = canonical_spec_map(spec);
     report.lease = options.lease;
   }
-  // Unit ownership under the engaged partition (everything when plain).
   const auto owns = [&](std::size_t unit) {
-    if (options.lease) return lease_owns(*options.lease, unit);
-    return shard_owns(shard, unit);
+    return !options.lease || lease_owns(*options.lease, unit);
   };
 
   report.cells.resize(cells.size());
@@ -596,9 +584,9 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
 
   // Per-cell execution state. Scenarios are prefetched sequentially so the
   // grid shares each (kind, seed) build instead of racing on it. `owned`
-  // lists this shard's trial indices for the cell (all of them when
-  // unsharded); trials are keyed by that original index so shard results
-  // reunite into the unsharded trial order.
+  // lists the lease's trial indices for the cell (all of them without a
+  // lease); trials are keyed by that original index so lease results
+  // reunite into the unpartitioned trial order.
   struct CellState {
     std::shared_ptr<const Scenario> scenario;
     std::unique_ptr<CostModel> cost_model;
@@ -669,15 +657,6 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   return report;
 }
 
-const SweepCellResult* find_cell(
-    const SweepReport& report,
-    const std::function<bool(const SweepCellResult&)>& pred) {
-  for (const SweepCellResult& cell : report.cells) {
-    if (pred(cell)) return &cell;
-  }
-  return nullptr;
-}
-
 const std::string& axis_label(const SweepPoint& point,
                               const std::string& axis) {
   if (axis == "scenario") return point.scenario;
@@ -690,26 +669,6 @@ const std::string& axis_label(const SweepPoint& point,
   if (axis == "conditioning") return point.conditioning;
   if (axis == "failures") return point.failures;
   throw std::invalid_argument("unknown sweep axis: " + axis);
-}
-
-const SweepCellResult& cell_at(
-    const SweepReport& report,
-    std::initializer_list<std::pair<const char*, std::string>> where) {
-  const SweepCellResult* found = find_cell(report, [&](const auto& cell) {
-    for (const auto& [axis, label] : where) {
-      if (axis_label(cell.point, axis) != label) return false;
-    }
-    return true;
-  });
-  if (found == nullptr) {
-    std::string description;
-    for (const auto& [axis, label] : where) {
-      if (!description.empty()) description += ", ";
-      description += std::string(axis) + "=" + label;
-    }
-    throw std::out_of_range("sweep cell not found: " + description);
-  }
-  return *found;
 }
 
 }  // namespace taskdrop

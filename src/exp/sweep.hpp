@@ -4,7 +4,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -131,76 +130,59 @@ struct SweepCellResult {
   ExperimentConfig config;
   ExperimentResult result;
   /// Trial indices present in result.trials, ascending. A complete cell
-  /// holds 0..config.trials-1; a sharded run leaves each cell with only
-  /// the trials its shard owns (possibly none).
+  /// holds 0..config.trials-1; a leased run leaves each cell with only
+  /// the trials its lease owns (possibly none).
   std::vector<int> trial_indices;
 };
 
-/// One shard of a sweep: this process runs every expanded (cell, trial)
-/// unit whose flat cell-major index is congruent to `index` mod `count`.
-/// The interleaved round-robin partition spreads expensive cells (deep
-/// windows, large levels) across shards, and is deterministic in spec
-/// expansion order, so N shards always reunite into the exact unsharded
-/// unit set. {0, 1} is the whole sweep.
-struct ShardSpec {
-  int index = 0;
-  int count = 1;
-
-  /// Rejects count < 1 and index outside [0, count).
-  void validate() const;
-};
-
 /// Flat unit index of (cell, trial) under `trials` trials per cell — the
-/// quantity the round-robin partition is taken over.
+/// quantity leases partition.
 inline std::size_t sweep_unit(std::size_t cell, int trial, int trials) {
   return cell * static_cast<std::size_t>(trials) +
          static_cast<std::size_t>(trial);
 }
 
-/// Whether `shard` owns the given unit.
-inline bool shard_owns(const ShardSpec& shard, std::size_t unit) {
-  return unit % static_cast<std::size_t>(shard.count) ==
-         static_cast<std::size_t>(shard.index);
-}
-
-/// One lease of a sweep: a contiguous range [begin, end) of flat
-/// cell-major unit indices (see sweep_unit). Leases are the elastic
-/// counterpart of ShardSpec — instead of a partition fixed up front, a
-/// lease directory (exp/lease.hpp) hands ranges to whichever worker claims
-/// them, so a dead worker's range is re-run by a survivor. Contiguity
-/// keeps each lease's cells clustered, which the cost-model-driven plan
-/// exploits to even out deep-window cells.
+/// One lease of a sweep: the flat cell-major unit indices (see sweep_unit)
+/// u in [begin, end) with (u - begin) % stride == 0. The CLI's
+/// `--shard=I/N` is the strided lease {I, I, units, N}: round-robin units
+/// spread expensive cells (deep windows, large levels) across N static
+/// shards. Elastic leases (exp/lease.hpp) are contiguous (stride 1): a
+/// lease directory hands them to whichever worker claims them, so a dead
+/// worker's range is re-run by a survivor, and the cost-model-driven plan
+/// sizes them to even out deep-window cells.
 struct SweepLeaseRange {
   long long id = 0;
   std::size_t begin = 0;
   std::size_t end = 0;
+  std::size_t stride = 1;
 
-  /// Rejects id < 0 and begin >= end.
+  /// Rejects id < 0, begin >= end and stride < 1.
   void validate() const;
 };
 
+/// "lease <id> [<begin>, <end>)", plus " stride <n>" when not 1: how
+/// progress lines and errors name a lease.
+std::string lease_text(const SweepLeaseRange& lease);
+
 /// Whether `lease` covers the given unit.
 inline bool lease_owns(const SweepLeaseRange& lease, std::size_t unit) {
-  return unit >= lease.begin && unit < lease.end;
+  return unit >= lease.begin && unit < lease.end &&
+         (unit - lease.begin) % lease.stride == 0;
 }
 
 /// Consolidated output of one sweep; metrics/report.hpp renders it as an
-/// aligned table, CSV or JSON (and merges shard reports back together).
+/// aligned table, CSV or JSON (and merges lease reports back together).
 struct SweepReport {
   std::string name;
   /// Axes whose spec lists had more than one entry, in nesting order —
   /// the identity columns of the long-format report.
   std::vector<std::string> active_axes;
-  /// Engaged when run_sweep executed an explicit shard (even 0/1): the
-  /// JSON form then carries the shard header and per-trial payloads that
+  /// Engaged when run_sweep executed one lease (a `--shard` included): the
+  /// JSON form then carries the lease header and per-trial payloads that
   /// merge_sweep_reports consumes. Disengaged for plain and merged runs.
-  std::optional<ShardSpec> shard;
-  /// Engaged when run_sweep executed one lease range: the JSON form then
-  /// carries a lease header instead of a shard header (same mergeable
-  /// per-trial payloads). At most one of shard/lease is engaged.
   std::optional<SweepLeaseRange> lease;
-  /// Canonical SweepSpec::to_map rendering, filled for sharded and leased
-  /// runs — the header merge_sweep_reports validates compatibility against.
+  /// Canonical SweepSpec::to_map rendering, filled for leased runs — the
+  /// header merge_sweep_reports validates compatibility against.
   SpecMap spec_map;
   /// Expansion order (stable regardless of scheduling).
   std::vector<SweepCellResult> cells;
@@ -211,18 +193,14 @@ struct SweepOptions {
   std::size_t threads = 0;
   /// Optional externally shared cache (e.g. across several specs).
   ScenarioCache* cache = nullptr;
-  /// When engaged, run only this shard's (cell, trial) units. Requires a
-  /// spec whose to_map rendering is a from_map fixpoint, so the merge can
-  /// re-expand identical cells.
-  std::optional<ShardSpec> shard;
-  /// When engaged, run only the units in this contiguous range (mutually
-  /// exclusive with `shard`; same canonical-spec requirement). The report
-  /// carries a lease header instead of a shard header.
+  /// When engaged, run only the (cell, trial) units this lease owns.
+  /// Requires a spec whose to_map rendering is a from_map fixpoint, so the
+  /// merge can re-expand identical cells.
   std::optional<SweepLeaseRange> lease;
   /// Streaming progress: invoked once per finished cell (serialised, from
   /// worker threads) with the completed cell and done/total counts. Under
-  /// sharding a cell counts as finished when its owned trials are done;
-  /// cells the shard does not touch are excluded from the totals.
+  /// a lease a cell counts as finished when its owned trials are done;
+  /// cells the lease does not touch are excluded from the totals.
   std::function<void(const SweepCellResult&, std::size_t done,
                      std::size_t total)>
       on_cell;
@@ -232,34 +210,23 @@ struct SweepOptions {
 /// Scenarios are shared through the cache — every cell with the same
 /// (scenario, seed) reads one instance — and each cell's result is
 /// bitwise-identical to run_experiment on its config. Trial RNG streams
-/// are seeded per (cell, trial), so a sharded run computes exactly the
-/// trials the unsharded run would, and merging shard reports reproduces
-/// the unsharded report bit for bit. A trial body that throws no longer
-/// terminates the process: the first exception is captured, remaining
-/// units are skipped, and it is rethrown here once the pool drains.
+/// are seeded per (cell, trial), so a leased run computes exactly the
+/// trials the unpartitioned run would, and merging lease reports
+/// reproduces the unpartitioned report bit for bit. A trial body that
+/// throws no longer terminates the process: the first exception is
+/// captured, remaining units are skipped, and it is rethrown here once the
+/// pool drains.
 SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options = {});
 
 /// The active-axes column set run_sweep derives from a spec (exposed for
-/// merge_sweep_reports, which rebuilds reports from shard headers).
+/// merge_sweep_reports, which rebuilds reports from lease headers).
 std::vector<std::string> active_axes_of(const SweepSpec& spec);
 
-/// The canonical to_map rendering a mergeable (sharded or leased) run may
-/// publish as its header: requires a spec whose re-expansion through
-/// from_map reproduces the grid cell for cell —
-/// merging attributes trial payloads by cell index, so anything weaker
-/// would corrupt the merge silently. Throws std::invalid_argument when the
-/// spec has no such rendering.
+/// The canonical to_map rendering a mergeable (leased) run may publish as
+/// its header: requires a spec whose re-expansion through from_map
+/// reproduces the grid cell for cell — merging attributes trial payloads
+/// by cell index, so anything weaker would corrupt the merge silently.
+/// Throws std::invalid_argument when the spec has no such rendering.
 SpecMap canonical_spec_map(const SweepSpec& spec);
-
-/// First cell matching the predicate, or nullptr.
-const SweepCellResult* find_cell(
-    const SweepReport& report,
-    const std::function<bool(const SweepCellResult&)>& pred);
-
-/// The unique cell whose point matches every (axis, label) pair; throws
-/// std::out_of_range when absent.
-const SweepCellResult& cell_at(
-    const SweepReport& report,
-    std::initializer_list<std::pair<const char*, std::string>> where);
 
 }  // namespace taskdrop

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -186,19 +187,21 @@ void write_cell_trials_json(std::ostream& os, const SweepCellResult& cell) {
 }  // namespace
 
 void write_sweep_json(std::ostream& os, const SweepReport& report) {
-  // A shard or lease report is the mergeable form: partition header,
-  // canonical spec map, and per-trial payloads instead of summaries.
-  const bool mergeable = report.shard.has_value() || report.lease.has_value();
+  // A lease report is the mergeable form: lease header, canonical spec
+  // map, and per-trial payloads instead of summaries.
+  const bool mergeable = report.lease.has_value();
   os << "{\n  \"schema\": \"" << kSchema << "\",\n  \"name\": \""
      << json_escape(report.name) << '"';
-  if (report.shard) {
-    os << ",\n  \"shard\": {\"index\": " << report.shard->index
-       << ", \"count\": " << report.shard->count << "}";
-  }
   if (report.lease) {
     os << ",\n  \"lease\": {\"id\": " << report.lease->id
        << ", \"begin\": " << report.lease->begin
-       << ", \"end\": " << report.lease->end << "}";
+       << ", \"end\": " << report.lease->end;
+    // Contiguous (elastic) leases omit the default stride, so their
+    // documents stay byte-identical to the pre-stride format.
+    if (report.lease->stride != 1) {
+      os << ", \"stride\": " << report.lease->stride;
+    }
+    os << '}';
   }
   if (mergeable) {
     os << ",\n  \"spec\": {";
@@ -260,6 +263,20 @@ long long integer_of(const JsonValue& value, const char* where) {
   return json_integer(value, where, json_context());
 }
 
+/// An integer member checked against [min, max] before any narrowing, so
+/// a wrapped value (trial 2^32) is an error instead of an alias of trial 0.
+long long bounded_integer_of(const JsonValue& value, const char* where,
+                             long long min, long long max) {
+  const long long parsed = integer_of(value, where);
+  if (parsed < min || parsed > max) {
+    throw std::invalid_argument(
+        "sweep shard JSON: " + std::string(where) + " " +
+        std::to_string(parsed) + " out of range [" + std::to_string(min) +
+        ", " + std::to_string(max) + "]");
+  }
+  return parsed;
+}
+
 const std::string& string_of(const JsonValue& value, const char* where) {
   return json_string(value, where, json_context());
 }
@@ -303,38 +320,28 @@ SweepShardReport read_sweep_shard_json(std::istream& is) {
   SweepShardReport shard;
   shard.name = string_of(require_member(root, "name", "document"), "name");
 
-  const JsonValue* shard_header = json_find(root, "shard");
   const JsonValue* lease_header = json_find(root, "lease");
-  if (shard_header == nullptr && lease_header == nullptr) {
+  if (lease_header == nullptr) {
     throw std::invalid_argument(
-        "sweep shard JSON: no shard or lease header — this is a plain sweep "
-        "dump (summaries only); mergeable documents come from sweep "
-        "--shard I/N or sweep --elastic");
+        "sweep shard JSON: no lease header — this is a plain sweep dump "
+        "(summaries only); mergeable documents come from sweep --shard I/N "
+        "or sweep --elastic");
   }
-  if (shard_header != nullptr && lease_header != nullptr) {
-    throw std::invalid_argument(
-        "sweep shard JSON: document carries both a shard and a lease "
-        "header");
+  constexpr long long kMaxCount = std::numeric_limits<long long>::max();
+  shard.lease.id =
+      integer_of(require_member(*lease_header, "id", "lease"), "lease.id");
+  shard.lease.begin = static_cast<std::size_t>(bounded_integer_of(
+      require_member(*lease_header, "begin", "lease"), "lease.begin", 0,
+      kMaxCount));
+  shard.lease.end = static_cast<std::size_t>(bounded_integer_of(
+      require_member(*lease_header, "end", "lease"), "lease.end", 0,
+      kMaxCount));
+  // A missing stride is a contiguous lease (the elastic format).
+  if (const JsonValue* stride = json_find(*lease_header, "stride")) {
+    shard.lease.stride = static_cast<std::size_t>(
+        bounded_integer_of(*stride, "lease.stride", 1, kMaxCount));
   }
-  if (shard_header != nullptr) {
-    ShardSpec parsed;
-    parsed.index = static_cast<int>(integer_of(
-        require_member(*shard_header, "index", "shard"), "shard.index"));
-    parsed.count = static_cast<int>(integer_of(
-        require_member(*shard_header, "count", "shard"), "shard.count"));
-    parsed.validate();
-    shard.shard = parsed;
-  } else {
-    SweepLeaseRange parsed;
-    parsed.id =
-        integer_of(require_member(*lease_header, "id", "lease"), "lease.id");
-    parsed.begin = static_cast<std::size_t>(integer_of(
-        require_member(*lease_header, "begin", "lease"), "lease.begin"));
-    parsed.end = static_cast<std::size_t>(integer_of(
-        require_member(*lease_header, "end", "lease"), "lease.end"));
-    parsed.validate();
-    shard.lease = parsed;
-  }
+  shard.lease.validate();
 
   const JsonValue& spec = require_member(root, "spec", "document");
   if (spec.kind != JsonValue::Kind::Object) {
@@ -357,7 +364,8 @@ SweepShardReport read_sweep_shard_json(std::istream& is) {
   }
   for (const JsonValue& cell : cells.items) {
     const std::size_t cell_index = static_cast<std::size_t>(
-        integer_of(require_member(cell, "cell", "cell"), "cell"));
+        bounded_integer_of(require_member(cell, "cell", "cell"), "cell", 0,
+                           kMaxCount));
     const JsonValue& trials = require_member(cell, "trials", "cell");
     if (trials.kind != JsonValue::Kind::Array) {
       throw std::invalid_argument("sweep shard JSON: trials is not an array");
@@ -365,8 +373,9 @@ SweepShardReport read_sweep_shard_json(std::istream& is) {
     for (const JsonValue& trial : trials.items) {
       SweepShardReport::TrialRecord record;
       record.cell = cell_index;
-      record.trial = static_cast<int>(
-          integer_of(require_member(trial, "trial", "trial"), "trial"));
+      record.trial = static_cast<int>(bounded_integer_of(
+          require_member(trial, "trial", "trial"), "trial", 0,
+          std::numeric_limits<int>::max()));
       const JsonValue& metrics = require_member(trial, "metrics", "trial");
       for (const TrialField& field : kTrialFields) {
         const JsonValue& value = require_member(metrics, field.key, "metrics");
@@ -388,22 +397,7 @@ SweepReport merge_sweep_reports(const std::vector<SweepShardReport>& shards,
     throw std::invalid_argument("merge: no shard reports given");
   }
   const SweepShardReport& first = shards.front();
-  // One partition kind throughout: a shard document asserts "I own every
-  // unit congruent to my index", a lease document "I own [begin, end)" —
-  // mixing them would make the ownership checks incoherent.
-  const bool leased = first.lease.has_value();
   for (const SweepShardReport& shard : shards) {
-    if (shard.shard.has_value() == shard.lease.has_value()) {
-      throw std::invalid_argument(
-          "merge: document carries " +
-          std::string(shard.shard ? "both shard and lease headers"
-                                  : "neither a shard nor a lease header"));
-    }
-    if (shard.lease.has_value() != leased) {
-      throw std::invalid_argument(
-          "merge: shard and lease documents mixed — merge round-robin "
-          "shards and elastic leases separately");
-    }
     if (shard.name != first.name) {
       throw std::invalid_argument("merge: shards name different sweeps (\"" +
                                   first.name + "\" vs \"" + shard.name +
@@ -413,34 +407,6 @@ SweepReport merge_sweep_reports(const std::vector<SweepShardReport>& shards,
       throw std::invalid_argument(
           "merge: shard spec headers differ — every shard must come from "
           "the same canonical spec");
-    }
-  }
-  if (!leased) {
-    const int count = first.shard->count;
-    // Every index 0..count-1 must appear; without allow_reexecuted it must
-    // appear exactly once (a re-run shard is a re-executed partition).
-    std::vector<bool> seen(static_cast<std::size_t>(count), false);
-    for (const SweepShardReport& shard : shards) {
-      shard.shard->validate();
-      if (shard.shard->count != count) {
-        throw std::invalid_argument(
-            "merge: shard counts disagree (" + std::to_string(count) +
-            " vs " + std::to_string(shard.shard->count) + ")");
-      }
-      auto flag = seen.begin() + shard.shard->index;
-      if (*flag && !options.allow_reexecuted) {
-        throw std::invalid_argument("merge: duplicate shard " +
-                                    std::to_string(shard.shard->index) + "/" +
-                                    std::to_string(count));
-      }
-      *flag = true;
-    }
-    for (int i = 0; i < count; ++i) {
-      if (!seen[static_cast<std::size_t>(i)]) {
-        throw std::invalid_argument("merge: missing shard " +
-                                    std::to_string(i) + "/" +
-                                    std::to_string(count));
-      }
     }
   }
 
@@ -460,14 +426,12 @@ SweepReport merge_sweep_reports(const std::vector<SweepShardReport>& shards,
   std::vector<std::vector<bool>> have(
       cells.size(), std::vector<bool>(trials_per_cell, false));
   for (const SweepShardReport& shard : shards) {
-    if (leased) {
-      shard.lease->validate();
-      if (shard.lease->end > units) {
-        throw std::invalid_argument(
-            "merge: lease range [" + std::to_string(shard.lease->begin) +
-            ", " + std::to_string(shard.lease->end) +
-            ") exceeds the grid's " + std::to_string(units) + " units");
-      }
+    const SweepLeaseRange& lease = shard.lease;
+    lease.validate();
+    if (lease.end > units) {
+      throw std::invalid_argument("merge: " + lease_text(lease) +
+                                  " exceeds the grid's " +
+                                  std::to_string(units) + " units");
     }
     for (const SweepShardReport::TrialRecord& record : shard.trials) {
       if (record.cell >= cells.size()) {
@@ -484,17 +448,11 @@ SweepReport merge_sweep_reports(const std::vector<SweepShardReport>& shards,
       }
       const std::size_t unit =
           sweep_unit(record.cell, record.trial, spec.trials);
-      const bool owned = leased ? lease_owns(*shard.lease, unit)
-                                : shard_owns(*shard.shard, unit);
-      if (!owned) {
+      if (!lease_owns(lease, unit)) {
         throw std::invalid_argument(
             "merge: trial " + std::to_string(record.trial) + " of cell " +
             std::to_string(record.cell) + " does not belong to " +
-            (leased ? "lease " + std::to_string(shard.lease->id) + " [" +
-                          std::to_string(shard.lease->begin) + ", " +
-                          std::to_string(shard.lease->end) + ")"
-                    : "shard " + std::to_string(shard.shard->index) + "/" +
-                          std::to_string(shard.shard->count)));
+            lease_text(lease));
       }
       auto slot = have[record.cell].begin() + record.trial;
       if (*slot) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "exp/sweep.hpp"
@@ -34,28 +33,26 @@ void write_sweep_csv(std::ostream& os, const SweepReport& report);
 /// All numbers are emitted with the shortest round-trippable rendering;
 /// non-finite summary values become null so the document stays valid JSON.
 ///
-/// When `report.shard` or `report.lease` is engaged (a run_sweep shard or
-/// a leased unit range), the document grows the matching `shard`/`lease`
-/// header, the canonical `spec` map, and per-trial metric payloads per
-/// touched cell in place of the summary block — the mergeable form
+/// When `report.lease` is engaged (a run_sweep lease: an elastic range or
+/// a `--shard`), the document grows the `lease` header (its `stride` only
+/// when not 1), the canonical `spec` map, and per-trial metric payloads
+/// per touched cell in place of the summary block — the mergeable form
 /// read_sweep_shard_json consumes. Non-finite trial values are kept as the
 /// strings "inf"/"-inf"/"nan" so they survive the round trip exactly.
 void write_sweep_json(std::ostream& os, const SweepReport& report);
 
-// --- Shard merging. A sharded (or elastic leased) run emits one mergeable
-// JSON document per shard/lease; merging re-expands the shared spec header
-// and reunites the per-trial payloads into a report bitwise-identical to
-// the unsharded run_sweep (trial RNG is seeded per (cell, trial), so the
-// partition cannot drift).
+// --- Merging. A leased run (a `--shard` or an elastic range) emits one
+// mergeable JSON document per lease; merging re-expands the shared spec
+// header and reunites the per-trial payloads into a report
+// bitwise-identical to the unpartitioned run_sweep (trial RNG is seeded
+// per (cell, trial), so the partition cannot drift).
 
 /// One parsed mergeable document: the header identifying its sweep and
-/// partition — exactly one of `shard` (round-robin) or `lease` (contiguous
-/// unit range) is engaged — plus every (cell, trial) payload it carries.
+/// the lease it ran, plus every (cell, trial) payload it carries.
 struct SweepShardReport {
   std::string name;
-  std::optional<ShardSpec> shard;
-  std::optional<SweepLeaseRange> lease;
-  /// Canonical SweepSpec::to_map rendering shared by every shard.
+  SweepLeaseRange lease;
+  /// Canonical SweepSpec::to_map rendering shared by every document.
   SpecMap spec;
   struct TrialRecord {
     std::size_t cell = 0;
@@ -65,12 +62,13 @@ struct SweepShardReport {
   std::vector<TrialRecord> trials;
 };
 
-/// Parses a mergeable document written by write_sweep_json for a sharded
-/// or leased run. Throws std::invalid_argument on malformed JSON (the
-/// error names the line and byte offset — a truncated file from a killed
-/// worker is rejected loudly, never half-read), an unsupported schema, or
-/// a document without a shard/lease header (plain sweep dumps carry only
-/// summaries and cannot be merged).
+/// Parses a mergeable document written by write_sweep_json for a leased
+/// run. Throws std::invalid_argument on malformed JSON (the error names
+/// the line and byte offset — a truncated file from a killed worker is
+/// rejected loudly, never half-read), an unsupported schema, an
+/// out-of-range integer (a trial index or stride that would wrap when
+/// narrowed), or a document without a lease header (plain sweep dumps
+/// carry only summaries and cannot be merged).
 SweepShardReport read_sweep_shard_json(std::istream& is);
 
 struct MergeOptions {
@@ -83,15 +81,14 @@ struct MergeOptions {
   bool allow_reexecuted = false;
 };
 
-/// Reunites shard or lease reports into the unsharded SweepReport:
-/// validates the headers against the canonical spec rendering (equal
-/// specs and names; one header kind throughout; for shards, every index
-/// 0..count-1 present — gaps are errors; order does not matter),
-/// re-expands the spec, places every trial payload by its (cell, trial)
-/// key after checking it belongs to the shard/lease that carries it, then
-/// re-runs summarize_trials per completed cell. Throws
+/// Reunites lease reports into the unpartitioned SweepReport: validates
+/// the headers against the canonical spec rendering (equal specs and
+/// names; order does not matter), re-expands the spec, places every trial
+/// payload by its (cell, trial) key after checking that the lease carrying
+/// it owns it, then re-runs summarize_trials per completed cell. Throws
 /// std::invalid_argument when any unit is missing, duplicated (see
-/// MergeOptions::allow_reexecuted), or misplaced.
+/// MergeOptions::allow_reexecuted), or misplaced — so a missing,
+/// duplicated or mixed-count set of shards fails unit by unit.
 SweepReport merge_sweep_reports(const std::vector<SweepShardReport>& shards,
                                 const MergeOptions& options = {});
 

@@ -14,6 +14,7 @@
 #include "exp/sweep.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "test_util.hpp"
 
 namespace taskdrop {
 namespace {
@@ -279,7 +280,7 @@ INSTANTIATE_TEST_SUITE_P(Committed, FigureSpec,
 TEST(SpecFiles, ApproxAblationReportsUtilityBelowRobustness) {
   const SweepReport report = run_tiny(load_spec("ablation_approx"));
   const SweepCellResult& approx =
-      cell_at(report, {{"level", "30k"}, {"dropper", "approx"}});
+      test::cell_at(report, {{"level", "30k"}, {"dropper", "approx"}});
   EXPECT_LT(approx.result.utility.mean, approx.result.robustness.mean);
 }
 

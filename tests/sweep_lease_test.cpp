@@ -414,13 +414,6 @@ TEST(LeaseCellWeights, AnalyticFallbackAndBenchScaling) {
 
 // --- run_sweep lease plumbing. ------------------------------------------
 
-TEST(RunSweep, LeaseAndShardOptionsAreMutuallyExclusive) {
-  SweepOptions options;
-  options.shard = ShardSpec{0, 2};
-  options.lease = range_of(0, 0, 1);
-  EXPECT_THROW(run_sweep(lease_spec(), options), std::invalid_argument);
-}
-
 TEST(RunSweep, LeaseRangeBeyondTheGridIsRejected) {
   SweepOptions options;
   options.lease = range_of(0, 0, 5);  // the grid has 4 units

@@ -1,14 +1,17 @@
-// Sharded sweep execution and shard-report merging: every shard count
-// must merge back to the exact unsharded report (trial RNG is seeded per
-// (cell, trial), so the partition cannot drift), the JSON round trip must
-// be lossless, and malformed merges must be loud errors.
+// Sharded sweep execution and shard-report merging. A shard I/N is the
+// strided lease {I, I, units, N}: every shard count must merge back to the
+// exact unsharded report (trial RNG is seeded per (cell, trial), so the
+// partition cannot drift), the JSON round trip must be lossless, and
+// malformed merges must be loud errors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exp/sweep.hpp"
@@ -21,6 +24,8 @@ namespace {
 /// fixpoint, the precondition for sharding): 2 levels x 2 mappers x
 /// 2 droppers = 8 cells x 3 trials = 24 units. Small tasks keep the
 /// whole differential suite in seconds.
+constexpr std::size_t kGridUnits = 24;
+
 SweepSpec shard_spec() {
   return SweepSpec::from_map(parse_spec_text(
       "name = shard differential\n"
@@ -81,18 +86,33 @@ void expect_reports_bitwise_equal(const SweepReport& merged,
   EXPECT_EQ(a_json.str(), b_json.str());
 }
 
+/// The lease `--shard=index/count` runs over the spec's unit grid.
+SweepLeaseRange shard_lease(const SweepSpec& spec, int index, int count) {
+  return {index, static_cast<std::size_t>(index),
+          spec.cell_count() * static_cast<std::size_t>(spec.trials),
+          static_cast<std::size_t>(count)};
+}
+
+std::string json_of(const SweepReport& report) {
+  std::ostringstream json;
+  write_sweep_json(json, report);
+  return json.str();
+}
+
+SweepShardReport read_json(const std::string& text) {
+  std::istringstream in(text);
+  return read_sweep_shard_json(in);
+}
+
 /// Runs shard i/n, round-trips it through the JSON writer/reader exactly
 /// as the CLI pipeline does, and returns the parsed shard document.
 SweepShardReport run_shard_via_json(const SweepSpec& spec, int index,
                                     int count) {
   SweepOptions options;
-  options.shard = ShardSpec{index, count};
+  options.lease = shard_lease(spec, index, count);
   const SweepReport report = run_sweep(spec, options);
-  EXPECT_TRUE(report.shard.has_value());
-  std::ostringstream json;
-  write_sweep_json(json, report);
-  std::istringstream in(json.str());
-  return read_sweep_shard_json(in);
+  EXPECT_TRUE(report.lease.has_value());
+  return read_json(json_of(report));
 }
 
 TEST(SweepShards, EveryShardCountMergesBitwiseIdentical) {
@@ -121,22 +141,99 @@ TEST(SweepShards, OutOfOrderMergeIsIdentical) {
 TEST(SweepShards, PartitionCoversEveryUnitExactlyOnce) {
   const SweepSpec spec = shard_spec();
   const int count = 3;
-  std::vector<int> owners(8 * 3, 0);
+  std::vector<int> owners(kGridUnits, 0);
   for (int i = 0; i < count; ++i) {
     SweepOptions options;
-    options.shard = ShardSpec{i, count};
+    options.lease = shard_lease(spec, i, count);
     const SweepReport report = run_sweep(spec, options);
     ASSERT_EQ(report.cells.size(), 8u);
+    std::set<std::size_t> units;
     for (std::size_t c = 0; c < report.cells.size(); ++c) {
       const SweepCellResult& cell = report.cells[c];
       ASSERT_EQ(cell.trial_indices.size(), cell.result.trials.size());
       for (const int t : cell.trial_indices) {
-        EXPECT_TRUE(shard_owns(*report.shard, sweep_unit(c, t, spec.trials)));
-        ++owners[sweep_unit(c, t, spec.trials)];
+        const std::size_t unit = sweep_unit(c, t, spec.trials);
+        EXPECT_TRUE(lease_owns(*report.lease, unit));
+        units.insert(unit);
+        ++owners[unit];
       }
     }
+    // Shard I of N owns exactly the round-robin units {u : u mod N = I}.
+    std::set<std::size_t> expected;
+    for (std::size_t u = static_cast<std::size_t>(i); u < kGridUnits;
+         u += count) {
+      expected.insert(u);
+    }
+    EXPECT_EQ(units, expected) << "shard " << i << "/" << count;
   }
   for (const int owner_count : owners) EXPECT_EQ(owner_count, 1);
+}
+
+TEST(SweepShards, StridedLeaseOwnsEveryStrideThUnitOfItsRange) {
+  const SweepLeaseRange lease{4, 5, 17, 4};
+  std::vector<std::size_t> owned;
+  for (std::size_t u = 0; u < kGridUnits; ++u) {
+    if (lease_owns(lease, u)) owned.push_back(u);
+  }
+  EXPECT_EQ(owned, (std::vector<std::size_t>{5, 9, 13}));
+  // Stride 1 is the contiguous range.
+  const SweepLeaseRange contiguous{0, 5, 8};
+  EXPECT_EQ(contiguous.stride, 1u);
+  EXPECT_FALSE(lease_owns(contiguous, 4));
+  EXPECT_TRUE(lease_owns(contiguous, 5));
+  EXPECT_TRUE(lease_owns(contiguous, 6));
+  EXPECT_TRUE(lease_owns(contiguous, 7));
+  EXPECT_FALSE(lease_owns(contiguous, 8));
+}
+
+TEST(SweepShards, StridedLeaseHeaderRoundTripsThroughJson) {
+  const SweepSpec spec = shard_spec();
+  SweepOptions options;
+  options.lease = shard_lease(spec, 2, 5);
+  const std::string json = json_of(run_sweep(spec, options));
+  EXPECT_NE(json.find("\"lease\": {\"id\": 2, \"begin\": 2, \"end\": 24, "
+                      "\"stride\": 5}"),
+            std::string::npos)
+      << json;
+  const SweepShardReport parsed = read_json(json);
+  EXPECT_EQ(parsed.lease.id, 2);
+  EXPECT_EQ(parsed.lease.begin, 2u);
+  EXPECT_EQ(parsed.lease.end, kGridUnits);
+  EXPECT_EQ(parsed.lease.stride, 5u);
+  ASSERT_FALSE(parsed.trials.empty());
+  for (const auto& record : parsed.trials) {
+    EXPECT_EQ(sweep_unit(record.cell, record.trial, spec.trials) % 5, 2u);
+  }
+}
+
+TEST(SweepShards, ContiguousLeaseDocumentCarriesNoStrideKey) {
+  // Elastic lease documents keep the pre-stride bytes: stride 1 is not
+  // written, and a document without the key reads back as stride 1.
+  SweepOptions options;
+  options.lease = SweepLeaseRange{3, 6, 12};
+  const std::string json = json_of(run_sweep(shard_spec(), options));
+  EXPECT_NE(json.find("\"lease\": {\"id\": 3, \"begin\": 6, \"end\": 12}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("stride"), std::string::npos);
+  EXPECT_EQ(read_json(json).lease.stride, 1u);
+}
+
+TEST(SweepShards, ShardIndexBeyondTheGridOwnsNoUnitAndIsRejected) {
+  // Shard I >= U of a U-unit grid would own nothing: its lease is empty.
+  const SweepSpec spec = shard_spec();
+  SweepOptions options;
+  for (const int index : {24, 30}) {
+    options.lease = shard_lease(spec, index, index + 1);
+    EXPECT_THROW(run_sweep(spec, options), std::invalid_argument) << index;
+  }
+  options.lease = shard_lease(spec, 23, 24);
+  const SweepReport last = run_sweep(spec, options);
+  std::size_t trials = 0;
+  for (const SweepCellResult& cell : last.cells) {
+    trials += cell.trial_indices.size();
+  }
+  EXPECT_EQ(trials, 1u);
 }
 
 TEST(SweepShards, NonCanonicalValueTokensShardAndMerge) {
@@ -184,12 +281,23 @@ TEST(SweepShards, MissingShardIsRejected) {
 
 TEST(SweepShards, MismatchedHeadersAreRejected) {
   const SweepSpec spec = shard_spec();
-  // Shard-count disagreement.
+  // Shard-count disagreement: 0/2 and 1/3 both own unit 4 (a duplicate)
+  // and together miss unit 3, so the per-unit checks reject the set.
   {
     std::vector<SweepShardReport> shards;
     shards.push_back(run_shard_via_json(spec, 0, 2));
     shards.push_back(run_shard_via_json(spec, 1, 3));
     EXPECT_THROW(merge_sweep_reports(shards), std::invalid_argument);
+    MergeOptions allow;
+    allow.allow_reexecuted = true;
+    EXPECT_THROW(merge_sweep_reports(shards, allow), std::invalid_argument);
+    // A complete set plus a re-executed shard of another count merges only
+    // when duplicates are allowed, and then to the unsharded bytes.
+    shards = {run_shard_via_json(spec, 0, 2), run_shard_via_json(spec, 1, 2),
+              run_shard_via_json(spec, 0, 3)};
+    EXPECT_THROW(merge_sweep_reports(shards), std::invalid_argument);
+    EXPECT_EQ(json_of(merge_sweep_reports(shards, allow)),
+              json_of(run_sweep(spec)));
   }
   // Spec disagreement (different seed => different canonical header).
   {
@@ -207,21 +315,26 @@ TEST(SweepShards, MismatchedHeadersAreRejected) {
     shards.push_back(run_shard_via_json(spec, 1, 2));
     ASSERT_FALSE(shards[1].trials.empty());
     shards[0].trials.push_back(shards[1].trials.front());
-    EXPECT_THROW(merge_sweep_reports(shards), std::invalid_argument);
+    try {
+      merge_sweep_reports(shards);
+      FAIL() << "a payload its lease does not own must not merge";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("does not belong to lease 0"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
 TEST(SweepShards, ShardOptionsAreValidated) {
   const SweepSpec spec = shard_spec();
   SweepOptions options;
-  options.shard = ShardSpec{3, 3};
+  options.lease = SweepLeaseRange{0, 0, kGridUnits + 1, 2};
   EXPECT_THROW(run_sweep(spec, options), std::invalid_argument);
-  options.shard = ShardSpec{0, 0};
+  options.lease = SweepLeaseRange{0, 0, kGridUnits, 0};
   EXPECT_THROW(run_sweep(spec, options), std::invalid_argument);
-  options.shard = ShardSpec{-1, 2};
+  options.lease = SweepLeaseRange{-1, 0, kGridUnits, 2};
   EXPECT_THROW(run_sweep(spec, options), std::invalid_argument);
-
-  options.shard = ShardSpec{0, 2};
 
   // A hand-built dropper variant list can render to a grid of the same
   // keys and size whose re-expansion orders cells differently — the
@@ -232,6 +345,7 @@ TEST(SweepShards, ShardOptionsAreValidated) {
                         {"approx eta=4", DropperConfig::approximate(4)},
                         {"heuristic eta=4", DropperConfig::heuristic(4)},
                         {"approx eta=2", DropperConfig::approximate(2)}};
+  options.lease = shard_lease(reordered, 0, 2);
   EXPECT_THROW(run_sweep(reordered, options), std::invalid_argument);
   // The same variants in grid order are canonical and shard fine.
   SweepSpec ordered = spec;
@@ -239,23 +353,20 @@ TEST(SweepShards, ShardOptionsAreValidated) {
                       {"heuristic eta=4", DropperConfig::heuristic(4)},
                       {"approx eta=2", DropperConfig::approximate(2)},
                       {"approx eta=4", DropperConfig::approximate(4)}};
+  options.lease = shard_lease(ordered, 0, 2);
   EXPECT_NO_THROW(run_sweep(ordered, options));
 }
 
 TEST(SweepShards, PlainJsonDumpIsNotMergeable) {
   SweepSpec spec = shard_spec();
   spec.trials = 1;
-  const SweepReport report = run_sweep(spec);
-  std::ostringstream json;
-  write_sweep_json(json, report);
-  std::istringstream in(json.str());
-  EXPECT_THROW(read_sweep_shard_json(in), std::invalid_argument);
+  EXPECT_THROW(read_json(json_of(run_sweep(spec))), std::invalid_argument);
 }
 
 TEST(SweepShards, ShardJsonRoundTripsNonFiniteTrialValues) {
   const SweepSpec spec = shard_spec();
   SweepOptions options;
-  options.shard = ShardSpec{0, 1};
+  options.lease = shard_lease(spec, 0, 1);
   SweepReport report = run_sweep(spec, options);
   // Force the values JSON cannot represent natively through the round
   // trip: they must come back as the same class, not as null/zero.
@@ -265,10 +376,7 @@ TEST(SweepShards, ShardJsonRoundTripsNonFiniteTrialValues) {
       -std::numeric_limits<double>::infinity();
   report.cells[0].result.trials[2].utility_pct =
       std::numeric_limits<double>::quiet_NaN();
-  std::ostringstream json;
-  write_sweep_json(json, report);
-  std::istringstream in(json.str());
-  const SweepShardReport parsed = read_sweep_shard_json(in);
+  const SweepShardReport parsed = read_json(json_of(report));
   const auto find_trial = [&](int trial) -> const TrialMetrics& {
     for (const auto& record : parsed.trials) {
       if (record.cell == 0 && record.trial == trial) return record.metrics;
@@ -285,15 +393,14 @@ TEST(SweepShards, ShardJsonRoundTripsNonFiniteTrialValues) {
 TEST(SweepShards, CorruptedNumbersAreLoudErrors) {
   // The token scanner accepts any run of number characters; conversion
   // must reject tokens strtod/stoll would silently truncate, or a
-  // corrupted shard file merges with wrong metrics.
+  // corrupted shard file merges with wrong metrics. Integers must also fit
+  // their field before narrowing: a trial of 2^32 would alias trial 0.
   SweepSpec spec = shard_spec();
   spec.trials = 1;
   SweepOptions options;
-  options.shard = ShardSpec{0, 1};
-  const SweepReport report = run_sweep(spec, options);
-  std::ostringstream json;
-  write_sweep_json(json, report);
-  const std::string good = json.str();
+  options.lease = shard_lease(spec, 0, 2);
+  const std::string good = json_of(run_sweep(spec, options));
+  ASSERT_NO_THROW(read_json(good));
 
   const auto corrupt = [&](const std::string& key,
                            const std::string& replacement) {
@@ -303,13 +410,17 @@ TEST(SweepShards, CorruptedNumbersAreLoudErrors) {
     const auto value_begin = pos + key.size() + 4;
     const auto value_end = text.find_first_of(",}", value_begin);
     text.replace(value_begin, value_end - value_begin, replacement);
-    std::istringstream in(text);
-    EXPECT_THROW(read_sweep_shard_json(in), std::invalid_argument)
+    EXPECT_THROW(read_json(text), std::invalid_argument)
         << key << " = " << replacement;
   };
   corrupt("robustness_pct", "1.2.3");
   corrupt("robustness_pct", "1e");
   corrupt("completed_on_time", "1-2");
+  corrupt("trial", "4294967296");
+  corrupt("trial", "-1");
+  corrupt("stride", "0");
+  corrupt("stride", "-2");
+  corrupt("stride", "1.5");
 }
 
 TEST(SweepShards, WorkerExceptionIsRethrownNotFatal) {

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "metrics/report.hpp"
+#include "test_util.hpp"
 
 namespace taskdrop {
 namespace {
@@ -346,12 +347,14 @@ TEST(SweepRunner, UsesTheSharedCacheAndStreamsProgress) {
 TEST(SweepRunner, CellLookupByAxisLabels) {
   const SweepReport report = run_sweep(small_spec());
   const SweepCellResult& cell =
-      cell_at(report, {{"mapper", "MM"}, {"dropper", "reactive"}});
+      test::cell_at(report, {{"mapper", "MM"}, {"dropper", "reactive"}});
   EXPECT_EQ(cell.config.mapper, "MM");
   EXPECT_EQ(cell.config.dropper.kind, DropperConfig::Kind::ReactiveOnly);
-  EXPECT_THROW(cell_at(report, {{"mapper", "FCFS"}}), std::out_of_range);
-  EXPECT_EQ(find_cell(report, [](const SweepCellResult&) { return false; }),
-            nullptr);
+  EXPECT_THROW(test::cell_at(report, {{"mapper", "FCFS"}}),
+               std::out_of_range);
+  EXPECT_EQ(
+      test::find_cell(report, [](const SweepCellResult&) { return false; }),
+      nullptr);
   EXPECT_THROW(axis_label(cell.point, "flavor"), std::invalid_argument);
 }
 

@@ -1,10 +1,14 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <initializer_list>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "exp/sweep.hpp"
 #include "pet/pet_matrix.hpp"
 #include "prob/fft.hpp"
 #include "prob/pmf.hpp"
@@ -60,5 +64,37 @@ class FftGateGuard {
  private:
   std::size_t saved_;
 };
+
+/// First sweep cell matching the predicate, or nullptr.
+inline const SweepCellResult* find_cell(
+    const SweepReport& report,
+    const std::function<bool(const SweepCellResult&)>& pred) {
+  for (const SweepCellResult& cell : report.cells) {
+    if (pred(cell)) return &cell;
+  }
+  return nullptr;
+}
+
+/// The unique sweep cell whose point matches every (axis, label) pair;
+/// throws std::out_of_range when absent.
+inline const SweepCellResult& cell_at(
+    const SweepReport& report,
+    std::initializer_list<std::pair<const char*, std::string>> where) {
+  const SweepCellResult* found = find_cell(report, [&](const auto& cell) {
+    for (const auto& [axis, label] : where) {
+      if (axis_label(cell.point, axis) != label) return false;
+    }
+    return true;
+  });
+  if (found == nullptr) {
+    std::string description;
+    for (const auto& [axis, label] : where) {
+      if (!description.empty()) description += ", ";
+      description += std::string(axis) + "=" + label;
+    }
+    throw std::out_of_range("sweep cell not found: " + description);
+  }
+  return *found;
+}
 
 }  // namespace taskdrop::test

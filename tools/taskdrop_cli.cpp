@@ -27,21 +27,25 @@
    lists and override same-named keys of --spec. All names resolve through
    the registries, so unknown ones list the available set.
 
-   `--shard=I/N` runs only shard I of the round-robin (cell x trial)
-   partition and emits a mergeable JSON document; `merge` reunites all N
-   such documents into the report the unsharded sweep would have produced,
-   bit for bit (tools/sweep_shards.sh orchestrates both locally).
+   Both ways of splitting a sweep across processes run leases of the flat
+   (cell x trial) unit grid (SweepLeaseRange in src/exp/sweep.hpp), and
+   `merge` reunites any complete set of lease documents into the report
+   the unpartitioned sweep would have produced, bit for bit.
 
-   `--elastic` replaces the static partition with lease-based coordination
-   through --lease-dir (see src/exp/lease.hpp and the README's "Elastic
-   sweeps" section): any number of workers share the directory, claim
-   contiguous unit ranges, renew heartbeats while computing, and steal
-   ranges whose owner died (heartbeat older than --lease-timeout ms).
-   Results land as <dir>/lease_*.json; `merge --allow-reexecuted` over
-   them reproduces the unsharded report byte for byte, tolerating
-   re-executed (reclaimed) units only when their payloads are bitwise
-   identical. Re-launching against a partial directory resumes: landed
-   leases are skipped (tools/sweep_elastic_kill_test.sh proves both).
+   `--shard=I/N` runs the strided lease that owns every unit u with
+   u mod N == I (round-robin, so expensive cells spread over the N shards)
+   and emits its mergeable JSON document (tools/sweep_shards.sh fans out N
+   shards and merges them locally).
+
+   `--elastic` hands out contiguous leases through --lease-dir instead
+   (see src/exp/lease.hpp and the README's "Elastic sweeps" section): any
+   number of workers share the directory, claim leases, renew heartbeats
+   while computing, and steal leases whose owner died (heartbeat older
+   than --lease-timeout ms). Results land as <dir>/lease_*.json; `merge
+   --allow-reexecuted` over them tolerates re-executed (reclaimed) units
+   only when their payloads are bitwise identical. Re-launching against a
+   partial directory resumes: landed leases are skipped
+   (tools/sweep_elastic_kill_test.sh proves both).
 
      taskdrop_cli serve --scenario=spec_hc --mapper=PAM --dropper=heuristic \
                   [--capacity=6] [--seed=42] [--on-deadline-miss] \
@@ -372,6 +376,8 @@ int run_sweep_command(const Flags& flags) {
   SweepOptions options;
   options.threads = static_cast<std::size_t>(threads);
   if (flags.has("shard")) {
+    // Shard I of N is the strided lease {I, I, units, N}: it owns every
+    // unit u with u mod N == I.
     const std::string text = flags.get("shard", "");
     const auto slash = text.find('/');
     if (slash == std::string::npos) {
@@ -379,10 +385,17 @@ int run_sweep_command(const Flags& flags) {
           "--shard expects index/count (e.g. --shard=0/3), got '" + text +
           "'");
     }
-    ShardSpec shard;
-    shard.index = parse_spec_int("shard index", text.substr(0, slash));
-    shard.count = parse_spec_int("shard count", text.substr(slash + 1));
-    shard.validate();
+    const int index = parse_spec_int("shard index", text.substr(0, slash));
+    const int count = parse_spec_int("shard count", text.substr(slash + 1));
+    if (count < 1) {
+      throw std::invalid_argument("shard count must be >= 1, got " +
+                                  std::to_string(count));
+    }
+    if (index < 0 || index >= count) {
+      throw std::invalid_argument("shard index must be in [0, " +
+                                  std::to_string(count) + "), got " +
+                                  std::to_string(index));
+    }
     // Table/CSV of a shard would show partial means and zero rows for
     // untouched cells with nothing marking them as such — the only
     // faithful rendering of a shard is the mergeable JSON document.
@@ -392,7 +405,16 @@ int run_sweep_command(const Flags& flags) {
           "document, not a standalone summary (merge shards first, then "
           "render)");
     }
-    options.shard = shard;
+    const std::size_t units =
+        spec.cell_count() * static_cast<std::size_t>(spec.trials);
+    if (static_cast<std::size_t>(index) >= units) {
+      throw std::invalid_argument(
+          "--shard=" + text + " owns no unit: the grid has " +
+          std::to_string(units) + " units (cells x trials); use at most " +
+          std::to_string(units) + " shards");
+    }
+    options.lease = SweepLeaseRange{index, static_cast<std::size_t>(index),
+                                    units, static_cast<std::size_t>(count)};
   }
   if (flags.get_bool("progress")) {
     options.on_cell = [](const SweepCellResult& cell, std::size_t done,
