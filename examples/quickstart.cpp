@@ -34,9 +34,6 @@ int main(int argc, char** argv) try {
   // 3. The paper's mechanism: the autonomous proactive dropping heuristic
   //    (eta = 2, beta = 1 — no user-tuned threshold anywhere).
   config.dropper = DropperConfig::heuristic();
-  if (flags.get_bool("every-event")) {
-    config.engagement = DropperEngagement::EveryMappingEvent;
-  }
   const ExperimentResult proactive = run_experiment(config);
 
   std::cout << "Tasks per trial:        " << config.workload.n_tasks << "\n"

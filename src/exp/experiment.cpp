@@ -12,6 +12,20 @@ Scenario build_scenario(const ExperimentConfig& config) {
   return make_scenario(config.scenario, config.seed);
 }
 
+EngineConfig ExperimentConfig::engine_config(std::size_t trial) const {
+  EngineConfig engine;
+  engine.queue_capacity = queue_capacity;
+  engine.engagement = engagement;
+  engine.condition_running = condition_running;
+  engine.paranoid_invalidate = paranoid_invalidate;
+  engine.exec_seed = Rng::derive(seed, 1000 + trial)();
+  engine.failures = failures;
+  engine.failures.seed = Rng::derive(seed, 2000 + trial)();
+  engine.approx = approx;
+  if (dropper.kind == DropperConfig::Kind::Approx) engine.approx.enabled = true;
+  return engine;
+}
+
 TrialMetrics run_trial(const ExperimentConfig& config,
                        const Scenario& scenario, const CostModel& cost_model,
                        std::size_t trial, ReplayLog* replay) {
@@ -24,19 +38,7 @@ TrialMetrics run_trial(const ExperimentConfig& config,
   auto mapper = make_mapper(config.mapper, config.candidate_window);
   auto dropper = make_dropper(config.dropper);
 
-  EngineConfig engine_config;
-  engine_config.queue_capacity = config.queue_capacity;
-  engine_config.engagement = config.engagement;
-  engine_config.condition_running = config.condition_running;
-  engine_config.paranoid_invalidate = config.paranoid_invalidate;
-  engine_config.exec_seed = Rng::derive(config.seed, 1000 + trial)();
-  engine_config.failures = config.failures;
-  engine_config.failures.seed = Rng::derive(config.seed, 2000 + trial)();
-  engine_config.approx = config.approx;
-  if (config.dropper.kind == DropperConfig::Kind::Approx) {
-    engine_config.approx.enabled = true;
-  }
-
+  const EngineConfig engine_config = config.engine_config(trial);
   Engine engine(scenario.pet, scenario.profile.machine_types, *mapper,
                 *dropper, engine_config);
   engine.set_replay_log(replay);

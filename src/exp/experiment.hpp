@@ -41,6 +41,12 @@ struct ExperimentConfig {
   int exclude_tail = 100;
   int candidate_window = 256;
 
+  /// The EngineConfig trial `trial` of this configuration runs under: its
+  /// scheduler knobs, execution seed derive(seed, 1000 + trial) and
+  /// failure seed derive(seed, 2000 + trial). An Approx dropper switches
+  /// the approx model on.
+  EngineConfig engine_config(std::size_t trial) const;
+
   bool operator==(const ExperimentConfig&) const = default;
 };
 

@@ -54,8 +54,8 @@ std::vector<std::string> list_or(const SpecMap& map, const std::string& key,
   return it == map.end() ? std::move(fallback) : it->second;
 }
 
-/// "label:tasks:oversub" (label optional: "tasks:oversub").
-SweepLevel parse_level(const std::string& text) {
+/// The fields of a levels entry, "label:tasks:oversub" or "tasks:oversub".
+std::vector<std::string> level_fields(const std::string& text) {
   std::vector<std::string> parts;
   std::size_t start = 0;
   for (;;) {
@@ -66,35 +66,35 @@ SweepLevel parse_level(const std::string& text) {
     if (colon == std::string::npos) break;
     start = colon + 1;
   }
-  SweepLevel level;
-  if (parts.size() == 3) {
-    level.label = parts[0];
-    level.n_tasks = parse_int("levels", parts[1]);
-    level.oversubscription = parse_double("levels", parts[2]);
-  } else if (parts.size() == 2) {
-    level.n_tasks = parse_int("levels", parts[0]);
-    level.oversubscription = parse_double("levels", parts[1]);
-    level.label = parts[0] + "@" + parts[1];
-  } else if (parts.size() > 3) {
+  if (parts.size() > 3) {
     // A label containing ':' is indistinguishable from extra fields, so it
     // is rejected outright instead of guessing which colon splits the
     // label (validate() enforces the same rule on hand-built specs).
     throw std::invalid_argument(
         "sweep key levels: expected [label:]tasks:oversub, got '" + text +
         "' (labels must not contain ':')");
-  } else {
+  }
+  if (parts.size() < 2) {
     throw std::invalid_argument(
         "sweep key levels: expected [label:]tasks:oversub, got '" + text +
         "'");
   }
-  return level;
+  return parts;
+}
+
+SweepLevel parse_level(const std::string& text) {
+  const std::vector<std::string> fields = level_fields(text);
+  const std::string& tasks = fields[fields.size() - 2];
+  const std::string& oversub = fields.back();
+  return {fields.size() == 3 ? fields.front() : tasks + "@" + oversub,
+          parse_int("levels", tasks), parse_double("levels", oversub)};
 }
 
 std::vector<SweepLevel> levels_from_map(const SpecMap& map) {
   if (map.count("levels") != 0) {
     // One levels axis, two spellings: mixing them would make one silently
-    // win, so reject the combination (the CLI resolves an inline override
-    // by dropping the other spelling before calling from_map).
+    // win, so reject the combination (overlay_spec_map resolves an
+    // override of either spelling before from_map sees the map).
     if (map.count("tasks") != 0 || map.count("oversub") != 0) {
       throw std::invalid_argument(
           "sweep keys levels and tasks/oversub both given — they describe "
@@ -351,6 +351,26 @@ SweepSpec SweepSpec::from_map(const SpecMap& map) {
       parse_int("candidate_window", single(map, "candidate_window", "256"));
   spec.validate();
   return spec;
+}
+
+SpecMap overlay_spec_map(SpecMap base, const SpecMap& overrides) {
+  if (overrides.count("levels") != 0) {
+    base.erase("tasks");
+    base.erase("oversub");
+  } else if ((overrides.count("tasks") != 0 ||
+              overrides.count("oversub") != 0) &&
+             base.count("levels") != 0 && base.count("tasks") == 0 &&
+             base.count("oversub") == 0) {
+    const auto levels = base.extract("levels");
+    for (const std::string& entry : levels.mapped()) {
+      parse_level(entry);  // a malformed entry fails as it would unsplit
+      const std::vector<std::string> fields = level_fields(entry);
+      base["tasks"].push_back(fields[fields.size() - 2]);
+      base["oversub"].push_back(fields.back());
+    }
+  }
+  for (const auto& [key, values] : overrides) base[key] = values;
+  return base;
 }
 
 SpecMap SweepSpec::to_map() const {

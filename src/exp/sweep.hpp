@@ -37,9 +37,9 @@ struct FailureVariant {
 DropperEngagement engagement_from_name(const std::string& name);
 std::string_view engagement_name(DropperEngagement engagement);
 
-/// Every key SweepSpec::from_map understands, in documentation order. The
-/// single source of truth for the CLI's inline sweep flags and for
-/// unknown-key error messages.
+/// Every key SweepSpec::from_map understands, in documentation order: the
+/// program's settable values. `run`, `sweep` and `serve` take each as an
+/// inline flag over --spec, and unknown-key errors list them.
 const std::vector<std::string>& sweep_spec_keys();
 
 /// Declarative description of an experiment grid: every axis is a list and
@@ -95,6 +95,13 @@ struct SweepSpec {
   /// grid.
   SpecMap to_map() const;
 };
+
+/// Layers `overrides` over `base`, each replacing a key's whole list (CLI
+/// flags over a --spec file). An overriding `levels` drops the base's
+/// tasks/oversub; an overriding tasks or oversub first splits the base's
+/// checked `levels` entries into halves, keeping the other half
+/// ("--tasks=200" over "20k:2000:2.5" is the level 200@2.5).
+SpecMap overlay_spec_map(SpecMap base, const SpecMap& overrides);
 
 /// Axis labels identifying one expanded cell, in reporting form.
 struct SweepPoint {

@@ -26,6 +26,17 @@ std::uint32_t unpack_token(std::int64_t payload) {
 
 }  // namespace
 
+OnlineConfig EngineConfig::online_config() const {
+  OnlineConfig online;
+  online.queue_capacity = queue_capacity;
+  online.engagement = engagement;
+  online.condition_running = condition_running;
+  online.volatile_machines = failures.enabled;
+  online.paranoid_invalidate = paranoid_invalidate;
+  online.approx = approx;
+  return online;
+}
+
 Engine::Engine(const PetMatrix& pet, std::vector<MachineTypeId> machine_types,
                Mapper& mapper, Dropper& dropper, EngineConfig config)
     : pet_(pet),
@@ -42,14 +53,8 @@ void Engine::reset(const Trace& trace) {
   failure_rng_.reseed(config_.failures.seed);
   events_ = EventQueue();
 
-  OnlineConfig online;
-  online.queue_capacity = config_.queue_capacity;
-  online.engagement = config_.engagement;
-  online.condition_running = config_.condition_running;
-  online.volatile_machines = config_.failures.enabled;
-  online.paranoid_invalidate = config_.paranoid_invalidate;
-  online.approx = config_.approx;
-  sched_.emplace(pet_, machine_type_of_, mapper_, dropper_, online);
+  sched_.emplace(pet_, machine_type_of_, mapper_, dropper_,
+                 config_.online_config());
   sched_->reserve_tasks(trace.size());
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const TaskId id =

@@ -51,6 +51,10 @@ struct EngineConfig {
   bool paranoid_invalidate = false;
   FailureModel failures;
   ApproxModel approx;
+
+  /// The OnlineConfig the engine hands its scheduler: the same knobs, with
+  /// volatile machines exactly when failures are injected.
+  OnlineConfig online_config() const;
 };
 
 /// The online batch-mode resource-allocation simulator of Fig. 1.

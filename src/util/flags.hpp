@@ -20,9 +20,9 @@ class Flags {
   Flags(int argc, const char* const* argv);
 
   bool has(const std::string& key) const;
-  /// All parsed --key names, sorted — lets strict consumers (the sweep
-  /// subcommand) reject typo'd flags that the lenient parser would
-  /// otherwise silently drop.
+  /// All parsed --key names, sorted — lets strict consumers (every
+  /// taskdrop_cli command) reject typo'd flags that the lenient parser
+  /// would otherwise silently drop.
   std::vector<std::string> keys() const;
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;

@@ -94,20 +94,6 @@ std::vector<ReplayCase> replay_cases() {
   return cases;
 }
 
-/// Mirrors run_trial's engine setup for the online side of the diff.
-OnlineConfig online_config_of(const ExperimentConfig& config) {
-  OnlineConfig online;
-  online.queue_capacity = config.queue_capacity;
-  online.engagement = config.engagement;
-  online.condition_running = config.condition_running;
-  online.volatile_machines = config.failures.enabled;
-  online.approx = config.approx;
-  if (config.dropper.kind == DropperConfig::Kind::Approx) {
-    online.approx.enabled = true;
-  }
-  return online;
-}
-
 TEST(OnlineReplay, ReproducesEngineDecisionsBitIdentically) {
   for (const ReplayCase& test_case : replay_cases()) {
     SCOPED_TRACE(test_case.name);
@@ -122,9 +108,9 @@ TEST(OnlineReplay, ReproducesEngineDecisionsBitIdentically) {
     auto mapper = make_mapper(test_case.config.mapper,
                               test_case.config.candidate_window);
     auto dropper = make_dropper(test_case.config.dropper);
-    OnlineScheduler scheduler(scenario.pet, scenario.profile.machine_types,
-                              *mapper, *dropper,
-                              online_config_of(test_case.config));
+    OnlineScheduler scheduler(
+        scenario.pet, scenario.profile.machine_types, *mapper, *dropper,
+        test_case.config.engine_config(0).online_config());
     const std::vector<Decision> replayed = replay_decisions(scheduler, log);
 
     ASSERT_EQ(replayed.size(), log.decisions.size());
@@ -149,9 +135,9 @@ TEST(OnlineReplay, ReproducesPerTaskOutcomesAndMetrics) {
     auto mapper = make_mapper(test_case.config.mapper,
                               test_case.config.candidate_window);
     auto dropper = make_dropper(test_case.config.dropper);
-    OnlineScheduler scheduler(scenario.pet, scenario.profile.machine_types,
-                              *mapper, *dropper,
-                              online_config_of(test_case.config));
+    OnlineScheduler scheduler(
+        scenario.pet, scenario.profile.machine_types, *mapper, *dropper,
+        test_case.config.engine_config(0).online_config());
     replay_decisions(scheduler, log);
 
     // Rebuild the SimResult from the replayed scheduler and require the
@@ -172,8 +158,8 @@ TEST(OnlineReplay, ReproducesPerTaskOutcomesAndMetrics) {
       EXPECT_TRUE(is_terminal(task.state)) << to_string(task.state);
     }
 
-    const double utility_weight = online_config_of(test_case.config)
-                                      .approx.utility_weight;
+    const double utility_weight =
+        test_case.config.engine_config(0).approx.utility_weight;
     const TrialMetrics replay_metrics = compute_trial_metrics(
         replayed, cost_model, test_case.config.exclude_head,
         test_case.config.exclude_tail, utility_weight);
@@ -218,7 +204,8 @@ TEST(OnlineReplay, RejectsReusedScheduler) {
   auto mapper = make_mapper(config.mapper, config.candidate_window);
   auto dropper = make_dropper(config.dropper);
   OnlineScheduler scheduler(scenario.pet, scenario.profile.machine_types,
-                            *mapper, *dropper, online_config_of(config));
+                            *mapper, *dropper,
+                            config.engine_config(0).online_config());
   replay_decisions(scheduler, log);
   EXPECT_THROW(replay_decisions(scheduler, log), std::invalid_argument);
 }

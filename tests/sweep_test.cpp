@@ -141,6 +141,66 @@ TEST(SweepSpec, FromMapZipsTasksAndOversub) {
                std::invalid_argument);
 }
 
+/// The error message `from_map(overlay_spec_map(base, overrides))` throws,
+/// or "" when it builds.
+std::string overlay_error(const std::string& base, const SpecMap& overrides) {
+  try {
+    SweepSpec::from_map(overlay_spec_map(parse_spec_text(base), overrides));
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(SweepSpec, OverlayReplacesKeysAndInlineLevelsDropTasksAndOversub) {
+  const SpecMap map = overlay_spec_map(
+      parse_spec_text("mapper = PAM, MM\ntasks = 2000, 3000\n"
+                      "oversub = 2.5, 3.0\ntrials = 4\n"),
+      {{"mapper", {"MSD"}}, {"levels", {"a:200:3.0"}}});
+  EXPECT_EQ(map.at("mapper"), std::vector<std::string>{"MSD"});
+  EXPECT_EQ(map.count("tasks"), 0u);
+  EXPECT_EQ(map.count("oversub"), 0u);
+  EXPECT_EQ(map.at("trials"), std::vector<std::string>{"4"});
+  const SweepSpec spec = SweepSpec::from_map(map);
+  ASSERT_EQ(spec.levels.size(), 1u);
+  EXPECT_EQ(spec.levels[0].label, "a");
+  EXPECT_EQ(spec.levels[0].n_tasks, 200);
+}
+
+TEST(SweepSpec, OverlayPartialLevelOverrideKeepsTheOtherHalf) {
+  const std::string base = "levels = 20k:2000:2.5, 30k:3000:3.0\n";
+  const SweepSpec tasks = SweepSpec::from_map(
+      overlay_spec_map(parse_spec_text(base), {{"tasks", {"200"}}}));
+  ASSERT_EQ(tasks.levels.size(), 2u);
+  EXPECT_EQ(tasks.levels[0].label, "200@2.5");
+  EXPECT_EQ(tasks.levels[1].label, "200@3.0");
+  EXPECT_EQ(tasks.levels[1].n_tasks, 200);
+  EXPECT_DOUBLE_EQ(tasks.levels[1].oversubscription, 3.0);
+
+  const SweepSpec oversub = SweepSpec::from_map(overlay_spec_map(
+      parse_spec_text("levels = 500:2.5\n"), {{"oversub", {"2.0"}}}));
+  ASSERT_EQ(oversub.levels.size(), 1u);
+  EXPECT_EQ(oversub.levels[0].label, "500@2.0");
+  EXPECT_EQ(oversub.levels[0].n_tasks, 500);
+  EXPECT_DOUBLE_EQ(oversub.levels[0].oversubscription, 2.0);
+}
+
+TEST(SweepSpec, OverlayRejectsMalformedBaseLevelsAsFromMapDoes) {
+  for (const std::string base :
+       {"levels = bogus\n", "levels = x:y:200:3.0\n", "levels = a:2x:3.0\n",
+        "levels = 20k:2000:2.5, 3000\n"}) {
+    SCOPED_TRACE(base);
+    const std::string alone = overlay_error(base, {});
+    ASSERT_NE(alone, "");
+    EXPECT_EQ(overlay_error(base, {{"tasks", {"200"}}}), alone);
+    EXPECT_EQ(overlay_error(base, {{"oversub", {"2.0"}}}), alone);
+  }
+  // A base holding both spellings stays an error under an override too.
+  EXPECT_NE(overlay_error("levels = a:2000:2.5\noversub = 3.0\n",
+                          {{"tasks", {"200"}}}),
+            "");
+}
+
 TEST(SweepSpec, FromMapRejectsUnknownKeysAndBadValues) {
   try {
     SweepSpec::from_map(parse_spec_text("droper = heuristic\n"));

@@ -182,9 +182,10 @@ expect_flag_error negative_snapshot_every \
 expect_flag_error snapshot_every_without_out \
     "--snapshot-every needs --snapshot-out" \
     serve "${serve_args[@]}" --snapshot-every=10 --stream=/dev/null
-# A capacity past int range must not wrap onto a small valid one.
+# A capacity past int range must not wrap onto a small valid one; serve
+# resolves --capacity through the same spec key as run and sweep.
 expect_flag_error serve_capacity_overflow \
-    "--capacity: integer out of range '4294967302'" \
+    "sweep key capacity: integer out of range '4294967302'" \
     serve "${serve_args[@]}" --capacity=4294967302 --stream=/dev/null
 
 # Typed flag values parse whole or not at all: no silent seed 0 for
@@ -205,8 +206,8 @@ expect_flag_error serve_watermark_exponent \
     "--shed-watermark: malformed integer '1e3'" \
     serve "${serve_args[@]}" --shed-watermark=1e3 --stream=/dev/null
 expect_flag_error serve_bool_spelling \
-    "--condition-running: expected 0/1/true/false, got 'no'" \
-    serve "${serve_args[@]}" --condition-running=no --stream=/dev/null
+    "sweep key conditioning: expected 0/1/true/false, got 'no'" \
+    serve "${serve_args[@]}" --conditioning=no --stream=/dev/null
 expect_flag_error run_seed_garbage "--seed: malformed integer '7x'" \
     --scenario=spec_hc --mapper=PAM --dropper=heuristic --tasks=100 \
     --trials=1 --seed=7x

@@ -1,10 +1,11 @@
-/* taskdrop_cli — run one experiment configuration or a declarative sweep.
+/* taskdrop_cli — run one experiment configuration, a declarative sweep, or
+   the online admission service.
 
      taskdrop_cli [run] --scenario=spec_hc --mapper=PAM --dropper=heuristic \
                   --tasks=3000 --oversub=3.0 --trials=8 [--eta=2] [--beta=1] \
                   [--threshold=0.5] [--gamma=4] [--capacity=6] [--seed=42] \
-                  [--bursty] [--failures --mtbf=60000 --mttr=3000] \
-                  [--trace-out=trace.csv] [--csv]
+                  [--engagement=on-deadline-miss] [--mtbf=60000 --mttr=3000] \
+                  [--spec=one_cell.sweep] [--trace-out=trace.csv] [--csv]
 
      taskdrop_cli sweep --spec=specs/fig8.sweep [--trials=2] [--csv|--json]
      taskdrop_cli sweep --scenario=spec_hc --mapper=PAM,MM \
@@ -22,10 +23,15 @@
 
      taskdrop_cli --list-scenarios --list-mappers --list-droppers
 
+   One configuration path: `run`, `sweep` and `serve` read --spec, if
+   given, let each inline flag naming a spec key (sweep_spec_keys()) override
+   that key, and build the spec with SweepSpec::from_map. Any other flag
+   must be one of the command's own options; a token that is not
+   --key[=value] is an error. `run` and `serve` take one cell, not a grid.
+
    `sweep` expands the cross product of every axis (see the specs/ dir and
-   the README's sweep section); inline axis flags take comma-separated
-   lists and override same-named keys of --spec. All names resolve through
-   the registries, so unknown ones list the available set.
+   the README's sweep section). All names resolve through the registries,
+   so unknown ones list the available set.
 
    Both ways of splitting a sweep across processes run leases of the flat
    (cell x trial) unit grid (SweepLeaseRange in src/exp/sweep.hpp), and
@@ -48,9 +54,9 @@
    (tools/sweep_elastic_kill_test.sh proves both).
 
      taskdrop_cli serve --scenario=spec_hc --mapper=PAM --dropper=heuristic \
-                  [--capacity=6] [--seed=42] [--on-deadline-miss] \
-                  [--condition-running] [--volatile] [--approx] \
-                  [--shed-watermark=N] [--shed-machine-backlog=N] \
+                  [--capacity=6] [--seed=42] [--engagement=on-deadline-miss] \
+                  [--conditioning=1] [--approx=1] [--spec=one_cell.sweep] \
+                  [--volatile] [--shed-watermark=N] [--shed-machine-backlog=N] \
                   [--on-error=abort|skip] [--restore=snap.txt] \
                   [--snapshot-out=snap.txt] [--snapshot-every=N] \
                   [--stream=events.stream] \
@@ -60,8 +66,10 @@
    reads a line-delimited event stream (--stream, default stdin), feeds
    each event into the OnlineScheduler callback API, confirms every Start
    recommendation immediately, and emits one decision record per decision
-   to --out (default stdout). The stream protocol (blank lines and
-   #-comments are skipped; timestamps must be non-decreasing):
+   to --out (default stdout). Its scheduler comes from the cell as the
+   simulator's does (engine_config().online_config()); the spec keys that
+   only shape generated trials are rejected. The stream protocol (blank
+   lines and #-comments are skipped; timestamps must be non-decreasing):
 
      arrive <t> <type> <deadline>   a task of PET type <type> arrives
      finish <t> <machine>           the running task on <machine> completed
@@ -114,9 +122,9 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
-#include "cost/cost_model.hpp"
 #include "exp/experiment.hpp"
 #include "exp/lease.hpp"
 #include "exp/sweep.hpp"
@@ -152,55 +160,54 @@ bool handle_list_flags(const Flags& flags) {
   return handled;
 }
 
-/// Seeds feed Rng::derive as unsigned 64-bit values; a bare static_cast
-/// would silently wrap a negative --seed into a huge unrelated seed, so
-/// reject negatives up front instead.
-std::uint64_t seed_from_flags(const Flags& flags) {
-  const long long seed = flags.get_int("seed", 42);
-  if (seed < 0) {
+/// The configuration path of `run`, `sweep` and `serve`: the --spec file,
+/// if given, with every inline flag that names a spec key overriding that
+/// key (comma lists as in spec files; overlay_spec_map). Any other flag
+/// must be --spec or one of the command's own `options`.
+SpecMap resolve_spec_map(const std::string& command, const Flags& flags,
+                         const std::vector<std::string>& options) {
+  const std::vector<std::string>& spec_keys = sweep_spec_keys();
+  const auto contains = [](const std::vector<std::string>& names,
+                           const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  SpecMap overrides;
+  for (const std::string& key : flags.keys()) {
+    if (contains(spec_keys, key)) {
+      overrides[key] = split_spec_list(flags.get(key, ""));
+    } else if (key != "spec" && !contains(options, key)) {
+      throw std::invalid_argument(
+          "unknown " + command + " flag: --" + key + " (spec keys: " +
+          join_spec_list(spec_keys) + "; options: spec, " +
+          join_spec_list(options) + ")");
+    }
+  }
+  // Seeds feed Rng::derive as unsigned 64-bit values: a negative --seed
+  // gets this message rather than the spec layer's unsigned-parse error.
+  if (const std::int64_t seed = flags.get_int("seed", 0); seed < 0) {
     throw std::invalid_argument("--seed must be non-negative, got " +
                                 std::to_string(seed));
   }
-  return static_cast<std::uint64_t>(seed);
-}
-
-/// Dropper construction for `serve`: only explicitly set flags become
-/// from_spec parameters, so registry defaults stay in one place.
-DropperConfig dropper_from_flags(const Flags& flags) {
-  std::map<std::string, std::string> params;
-  for (const char* key : {"eta", "beta", "threshold"}) {
-    if (flags.has(key)) params[key] = flags.get(key, "");
-  }
-  if (flags.get_bool("static-threshold")) params["adaptive"] = "0";
-  return DropperConfig::from_spec(flags.get("dropper", "heuristic"), params);
-}
-
-/// `run` is a one-cell sweep: its flags become single-valued spec keys, so
-/// the config gets sweep's whole-string parses and range checks
-/// (SweepSpec::from_map + validate) instead of bare casts that wrap.
-ExperimentConfig run_config_from_flags(const Flags& flags) {
-  // A negative --seed gets run/serve's wording, not an unsigned-parse error.
-  seed_from_flags(flags);
   SpecMap map;
-  for (const char* key : {"scenario", "mapper", "dropper", "eta", "beta",
-                          "threshold", "tasks", "oversub", "gamma",
-                          "capacity", "trials", "seed"}) {
-    if (flags.has(key)) map[key] = {flags.get(key, "")};
+  if (flags.has("spec")) map = parse_spec_file(flags.get("spec", ""));
+  return overlay_spec_map(std::move(map), overrides);
+}
+
+/// `run` and `serve` execute one configuration, not a grid.
+ExperimentConfig single_config(const std::string& command,
+                               const SweepSpec& spec) {
+  if (spec.cell_count() != 1) {
+    throw std::invalid_argument(
+        command + " takes one configuration, but the spec expands to " +
+        std::to_string(spec.cell_count()) + " cells; use sweep for a grid");
   }
-  if (flags.get_bool("static-threshold")) map["adaptive"] = {"0"};
-  if (flags.get_bool("bursty")) map["pattern"] = {"bursty"};
-  if (flags.get_bool("on-deadline-miss")) {
-    map["engagement"] = {"on-deadline-miss"};
-  }
-  if (flags.get_bool("failures")) {
-    map["mtbf"] = {flags.get("mtbf", "60000")};
-    map["mttr"] = {flags.get("mttr", "3000")};
-  }
-  return expand(SweepSpec::from_map(map)).front().config;
+  return expand(spec).front().config;
 }
 
 int run_single(const Flags& flags) {
-  const ExperimentConfig config = run_config_from_flags(flags);
+  const ExperimentConfig config = single_config(
+      "run", SweepSpec::from_map(
+                 resolve_spec_map("run", flags, {"trace-out", "csv"})));
 
   // Optional trace round-trip: archive the first trial's trace, or run
   // every trial on an externally supplied one.
@@ -253,70 +260,10 @@ int emit_to_out(const Flags& flags,
 }
 
 int run_sweep_command(const Flags& flags) {
-  // The Flags parser accepts any --key, but for sweeps a typo'd axis flag
-  // would silently run the wrong grid — reject anything that is neither a
-  // spec key nor a sweep option.
-  static const std::vector<std::string> kSweepOptions = {
-      "spec",        "csv",           "json",        "out",
-      "progress",    "threads",       "shard",       "elastic",
-      "lease-dir",   "lease-timeout", "lease-units", "bench-macro"};
-  for (const std::string& key : flags.keys()) {
-    const auto& spec_keys = sweep_spec_keys();
-    const bool known =
-        std::find(spec_keys.begin(), spec_keys.end(), key) !=
-            spec_keys.end() ||
-        std::find(kSweepOptions.begin(), kSweepOptions.end(), key) !=
-            kSweepOptions.end();
-    if (!known) {
-      throw std::invalid_argument(
-          "unknown sweep flag: --" + key + " (spec keys: " +
-          join_spec_list(sweep_spec_keys()) +
-          "; options: " + join_spec_list(kSweepOptions) + ")");
-    }
-  }
-
-  // run/serve parity for --seed: a negative value must be the same
-  // "--seed must be non-negative" error, not a spec-layer unsigned-parse
-  // complaint (the value itself still flows through the spec map below,
-  // so malformed text keeps its spec diagnostics).
-  if (flags.has("seed")) seed_from_flags(flags);
-
-  SpecMap map;
-  if (flags.has("spec")) {
-    map = parse_spec_file(flags.get("spec", ""));
-  }
-  // Every spec key doubles as an inline flag overriding the same key of
-  // --spec; list-valued keys take comma syntax (--mapper=PAM,MM). The
-  // levels axis has two spellings; an inline --levels drops the file's
-  // tasks/oversub, while a partial --tasks/--oversub override decomposes a
-  // file-side `levels` into its halves first, so the half the user did not
-  // override is kept instead of silently resetting to defaults.
-  if (flags.has("levels")) {
-    map.erase("tasks");
-    map.erase("oversub");
-  } else if ((flags.has("tasks") || flags.has("oversub")) &&
-             map.count("levels") != 0) {
-    SpecMap halves;
-    for (const std::string& entry : map.at("levels")) {
-      // "label:tasks:oversub" or "tasks:oversub" — keep the last two
-      // colon-separated fields (from_map re-validates the numbers).
-      const auto last = entry.rfind(':');
-      if (last == std::string::npos) continue;
-      const auto mid = entry.rfind(':', last - 1);
-      const std::size_t tasks_begin = mid == std::string::npos ? 0 : mid + 1;
-      halves["tasks"].push_back(
-          entry.substr(tasks_begin, last - tasks_begin));
-      halves["oversub"].push_back(entry.substr(last + 1));
-    }
-    map.erase("levels");
-    map.insert(halves.begin(), halves.end());
-  }
-  for (const std::string& key : sweep_spec_keys()) {
-    if (flags.has(key)) {
-      map[key] = split_spec_list(flags.get(key, ""));
-    }
-  }
-  const SweepSpec spec = SweepSpec::from_map(map);
+  const SweepSpec spec = SweepSpec::from_map(resolve_spec_map(
+      "sweep", flags,
+      {"csv", "json", "out", "progress", "threads", "shard", "elastic",
+       "lease-dir", "lease-timeout", "lease-units", "bench-macro"}));
 
   const std::int64_t threads = flags.get_int("threads", 0);
   if (threads < 0 || threads > 4096) {
@@ -505,34 +452,28 @@ int nonnegative_int_flag(const Flags& flags, const char* name) {
   return static_cast<int>(value);
 }
 
-/// Serve's --capacity: a whole-string int parse, so 4294967302 is rejected
-/// instead of wrapping onto 6, and at least one slot per machine.
-int capacity_from_flags(const Flags& flags) {
-  const int capacity =
-      parse_spec_int("--capacity", flags.get("capacity", "6"));
-  if (capacity < 1) {
-    throw std::invalid_argument("--capacity must be >= 1, got " +
-                                std::to_string(capacity));
-  }
-  return capacity;
-}
-
 int run_serve_command(const Flags& flags) {
-  static const std::vector<std::string> kServeOptions = {
-      "scenario", "mapper",   "dropper",          "eta",
-      "beta",     "threshold", "static-threshold", "capacity",
-      "seed",     "on-deadline-miss", "condition-running", "volatile",
-      "approx",   "stream",   "out",              "stats-out",
-      "shed-watermark", "shed-machine-backlog", "on-error",
-      "snapshot-out", "snapshot-every", "restore"};
-  for (const std::string& key : flags.keys()) {
-    if (std::find(kServeOptions.begin(), kServeOptions.end(), key) ==
-        kServeOptions.end()) {
-      throw std::invalid_argument("unknown serve flag: --" + key +
-                                  " (options: " +
-                                  join_spec_list(kServeOptions) + ")");
+  const SpecMap map = resolve_spec_map(
+      "serve", flags,
+      {"volatile", "stream", "out", "stats-out", "shed-watermark",
+       "shed-machine-backlog", "on-error", "snapshot-out", "snapshot-every",
+       "restore"});
+  // The event stream brings the tasks: keys that only shape generated
+  // trials would configure nothing.
+  static const std::vector<std::string> kTrialKeys = {
+      "levels", "tasks",  "oversub", "gamma",        "pattern",
+      "mtbf",   "mttr",   "trials",  "exclude_head", "exclude_tail"};
+  for (const std::string& key : kTrialKeys) {
+    if (map.count(key) != 0) {
+      throw std::invalid_argument(
+          "serve does not take sweep key " + key +
+          ": it only shapes generated trials (trial-only keys: " +
+          join_spec_list(kTrialKeys) + ")");
     }
   }
+  const ExperimentConfig cell =
+      single_config("serve", SweepSpec::from_map(map));
+
   const std::string on_error = flags.get("on-error", "abort");
   if (on_error != "abort" && on_error != "skip") {
     throw std::invalid_argument("--on-error must be abort or skip, got '" +
@@ -550,24 +491,11 @@ int run_serve_command(const Flags& flags) {
         "--snapshot-every needs --snapshot-out to name the checkpoint file");
   }
 
-  const ScenarioKind kind =
-      scenario_from_name(flags.get("scenario", "spec_hc"));
-  const Scenario scenario = make_scenario(kind, seed_from_flags(flags));
-  auto mapper = make_mapper(flags.get("mapper", "PAM"));
-  const DropperConfig dropper_config = dropper_from_flags(flags);
-  auto dropper = make_dropper(dropper_config);
-
-  OnlineConfig config;
-  config.queue_capacity = capacity_from_flags(flags);
-  if (flags.get_bool("on-deadline-miss")) {
-    config.engagement = DropperEngagement::OnDeadlineMiss;
-  }
-  config.condition_running = flags.get_bool("condition-running");
+  const Scenario scenario = build_scenario(cell);
+  auto mapper = make_mapper(cell.mapper, cell.candidate_window);
+  auto dropper = make_dropper(cell.dropper);
+  OnlineConfig config = cell.engine_config(0).online_config();
   config.volatile_machines = flags.get_bool("volatile");
-  if (flags.get_bool("approx") ||
-      dropper_config.kind == DropperConfig::Kind::Approx) {
-    config.approx.enabled = true;
-  }
   config.shed.total_pending_watermark =
       nonnegative_int_flag(flags, "shed-watermark");
   config.shed.machine_backlog_watermark =
@@ -746,9 +674,9 @@ int run_serve_command(const Flags& flags) {
   // Sort the kept subsample once, extract every percentile from it.
   std::vector<double> latency_sorted = latency_ns.samples();
   std::sort(latency_sorted.begin(), latency_sorted.end());
-  *stats << "serve: scenario=" << to_string(kind)
-         << " mapper=" << flags.get("mapper", "PAM")
-         << " dropper=" << dropper_config.name()
+  *stats << "serve: scenario=" << to_string(cell.scenario)
+         << " mapper=" << cell.mapper
+         << " dropper=" << cell.dropper.name()
          << " machines=" << scenario.profile.machine_types.size()
          << " capacity=" << config.queue_capacity << "\n"
          << "events=" << events_seen << " decisions=" << decisions_out
@@ -806,11 +734,8 @@ int main(int argc, char** argv) {
     if (handle_list_flags(flags)) return 0;
     // Subcommand word (bare, non-flag argv[1]); absent means `run` so
     // pre-subcommand invocations keep working.
-    const std::string command =
-        (argc > 1 && argv[1][0] != '-') ? argv[1] : "run";
-    if (command == "run") return run_single(flags);
-    if (command == "sweep") return run_sweep_command(flags);
-    if (command == "serve") return run_serve_command(flags);
+    const bool named = argc > 1 && argv[1][0] != '-';
+    const std::string command = named ? argv[1] : "run";
     if (command == "merge") {
       // Shard files are the bare (non-flag) tokens after the subcommand.
       std::vector<std::string> files;
@@ -819,8 +744,21 @@ int main(int argc, char** argv) {
       }
       return run_merge_command(flags, files);
     }
-    throw std::invalid_argument("unknown command: " + command +
-                                " (available: run, sweep, merge, serve)");
+    if (command != "run" && command != "sweep" && command != "serve") {
+      throw std::invalid_argument("unknown command: " + command +
+                                  " (available: run, sweep, merge, serve)");
+    }
+    // Flags reads only --key[=value] tokens; any other would be dropped
+    // silently (a spec path without --spec=, a single-dash flag).
+    for (int i = named ? 2 : 1; i < argc; ++i) {
+      if (std::string_view(argv[i]).starts_with("--")) continue;
+      throw std::invalid_argument(
+          command + ": unexpected argument '" + argv[i] +
+          "' (flags are --key[=value]; a spec file is --spec=FILE)");
+    }
+    if (command == "run") return run_single(flags);
+    if (command == "sweep") return run_sweep_command(flags);
+    return run_serve_command(flags);
   } catch (const std::exception& error) {
     std::cerr << "taskdrop_cli: " << error.what() << "\n";
     return 1;
