@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "fixture_pool.hpp"
 #include "online/system_state.hpp"
 #include "prob/convolution.hpp"
 // layering-allow(fft-plan): the wide-PMF benches toggle the crossover gate
@@ -37,6 +38,14 @@ std::unique_ptr<SystemState> make_queue(
     system->enqueue(0, static_cast<TaskTypeId>(i % scn.pet.task_type_count()),
                     static_cast<Tick>(mean * (2.0 + i)));
   }
+  return system;
+}
+
+/// A queue whose chain cache is warm up to its tail.
+std::unique_ptr<SystemState> make_warm_queue(
+    int depth, CompletionModel::Options options = {}) {
+  auto system = make_queue(depth, options);
+  system->model(0).instantaneous_robustness();
   return system;
 }
 
@@ -81,17 +90,18 @@ void BM_DeepIncrementalAppend(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const auto deadline =
       static_cast<Tick>(scenario().pet.mean_overall() * (depth + 4.0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto system = make_queue(depth);
-    system->model(0).instantaneous_robustness();  // warm the chain cache
-    state.ResumeTiming();
-    system->enqueue(0, 0, deadline);
-    benchmark::DoNotOptimize(
-        system->model(0).chance(system->machine(0).queue.size() - 1));
-  }
+  bench::run_with_fixture_pool(
+      state, [depth] { return make_warm_queue(depth); },
+      [deadline](std::unique_ptr<SystemState>& system) {
+        system->enqueue(0, 0, deadline);
+        benchmark::DoNotOptimize(
+            system->model(0).chance(system->machine(0).queue.size() - 1));
+      });
 }
-BENCHMARK(BM_DeepIncrementalAppend)->RangeMultiplier(2)->Range(8, 64);
+BENCHMARK(BM_DeepIncrementalAppend)
+    ->RangeMultiplier(2)
+    ->Range(8, 64)
+    ->Iterations(bench::kFixturePoolIterations);
 
 /// The proactive heuristic's provisional-drop window (Eqs. 4-6): re-root a
 /// chain at a mid-queue predecessor and re-convolve an eta-deep window,
@@ -222,22 +232,22 @@ void BM_VolatileHeadStart(benchmark::State& state, bool paranoid) {
   const int depth = static_cast<int>(state.range(0));
   CompletionModel::Options options;
   options.paranoid_rebuild = paranoid;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto system = make_queue(depth, options);
-    system->model(0).instantaneous_robustness();  // warm the chain cache
-    state.ResumeTiming();
-    system->set_running(0, 0);
-    benchmark::DoNotOptimize(
-        system->model(0).chance(static_cast<std::size_t>(depth) - 1));
-  }
+  bench::run_with_fixture_pool(
+      state, [&] { return make_warm_queue(depth, options); },
+      [depth](std::unique_ptr<SystemState>& system) {
+        system->set_running(0, 0);
+        benchmark::DoNotOptimize(
+            system->model(0).chance(static_cast<std::size_t>(depth) - 1));
+      });
 }
 BENCHMARK_CAPTURE(BM_VolatileHeadStart, keep, false)
     ->RangeMultiplier(2)
-    ->Range(8, 64);
+    ->Range(8, 64)
+    ->Iterations(bench::kFixturePoolIterations);
 BENCHMARK_CAPTURE(BM_VolatileHeadStart, rebuild, true)
     ->RangeMultiplier(2)
-    ->Range(8, 64);
+    ->Range(8, 64)
+    ->Iterations(bench::kFixturePoolIterations);
 
 }  // namespace
 

@@ -5,7 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
+#include "fixture_pool.hpp"
 #include "online/system_state.hpp"
 #include "workload/scenario.hpp"
 
@@ -44,19 +46,24 @@ void BM_IncrementalAppend(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const Scenario& scn = scenario();
   const auto deadline = static_cast<Tick>(scn.pet.mean_overall() * 12.0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto system = make_queue(depth);
-    // Warm the cache up to the current tail.
-    system->model(0).instantaneous_robustness();
-    state.ResumeTiming();
-    // The measured mutation: append + query the new tail only.
-    system->enqueue(0, 0, deadline);
-    benchmark::DoNotOptimize(
-        system->model(0).chance(system->machine(0).queue.size() - 1));
-  }
+  bench::run_with_fixture_pool(
+      state,
+      [depth] {
+        auto system = make_queue(depth);
+        // Warm the cache up to the current tail.
+        system->model(0).instantaneous_robustness();
+        return system;
+      },
+      [deadline](std::unique_ptr<SystemState>& system) {
+        // The measured mutation: append + query the new tail only.
+        system->enqueue(0, 0, deadline);
+        benchmark::DoNotOptimize(
+            system->model(0).chance(system->machine(0).queue.size() - 1));
+      });
 }
-BENCHMARK(BM_IncrementalAppend)->DenseRange(2, 8, 2);
+BENCHMARK(BM_IncrementalAppend)
+    ->DenseRange(2, 8, 2)
+    ->Iterations(bench::kFixturePoolIterations);
 
 void BM_ChanceIfAppended(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));

@@ -12,11 +12,13 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/optimal_dropper.hpp"
 #include "core/proactive_heuristic_dropper.hpp"
 #include "core/threshold_dropper.hpp"
+#include "fixture_pool.hpp"
 #include "online/system_state.hpp"
 #include "workload/scenario.hpp"
 
@@ -52,31 +54,20 @@ std::unique_ptr<SystemState> make_queue(
 /// every built queue has the same revision, so one dropper reused across
 /// queues would time that skip instead of a pass whenever its first pass
 /// dropped nothing (a fresh one sizes its revision list on that first
-/// pass, one small allocation). The pairs come from a pool built with the
-/// timer paused and refilled only when used up: pausing around every
-/// build cost more than a short queue's dropper pass and let its jitter
-/// decide the row.
+/// pass, one small allocation). The pairs come from a fixture pool.
 template <typename DropperT>
 void run_dropper_bench(benchmark::State& state) {
-  constexpr std::size_t kPoolSize = 64;
   const int depth = static_cast<int>(state.range(0));
-  std::vector<std::unique_ptr<SystemState>> systems(kPoolSize);
-  std::vector<std::unique_ptr<DropperT>> droppers(kPoolSize);
-  std::size_t next = kPoolSize;
-  for (auto _ : state) {
-    if (next == kPoolSize) {
-      state.PauseTiming();
-      for (std::size_t i = 0; i < kPoolSize; ++i) {
-        systems[i] = make_queue(depth);
-        droppers[i] = std::make_unique<DropperT>();
-      }
-      next = 0;
-      state.ResumeTiming();
-    }
-    SystemState& system = *systems[next];
-    droppers[next++]->run(system.view(), system);
-    benchmark::DoNotOptimize(system.dropped().size());
-  }
+  bench::run_with_fixture_pool(
+      state,
+      [depth] {
+        return std::make_pair(make_queue(depth), std::make_unique<DropperT>());
+      },
+      [](auto& fixture) {
+        SystemState& system = *fixture.first;
+        fixture.second->run(system.view(), system);
+        benchmark::DoNotOptimize(system.dropped().size());
+      });
 }
 
 void BM_HeuristicDropper(benchmark::State& state) {

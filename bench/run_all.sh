@@ -13,11 +13,11 @@
 # `... --target bench_macro`, which write BENCH_micro.json /
 # BENCH_macro.json in the repository root.
 #
-# The macro baseline doubles as the per-shard cost model for sharded
-# sweeps: one (cell, trial) unit of `taskdrop_cli sweep` costs about one
-# macro_trial run of its (scenario, mapper, level), so size the shard
-# count in tools/sweep_shards.sh from BENCH_macro.json (see the README's
-# "Sharded sweeps" section).
+# The macro baseline also prices a sweep by hand: one (cell, trial) unit
+# of `taskdrop_cli sweep` costs about one macro_trial run of its
+# (scenario, mapper, level), a guide for picking the shard count in
+# tools/sweep_shards.sh (see the README's "Sharded sweeps" section). No
+# program reads it; elastic leases are equal slices of the unit grid.
 set -euo pipefail
 
 bin_dir=${1:?usage: run_all.sh <bin-dir> [out.json] [schema] [bench ...]}

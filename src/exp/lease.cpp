@@ -7,94 +7,24 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "exp/scenario_cache.hpp"
 #include "metrics/report.hpp"
 #include "util/atomic_file.hpp"
-#include "util/json.hpp"
 
 namespace taskdrop {
 namespace {
 
 const char* const kPlanSchema = "taskdrop-lease-plan/v1";
-
-/// Benchmark label "<n>k" or "<n>" -> task count; 0 when unparsable.
-double tasks_of_label(const std::string& label) {
-  if (label.empty()) return 0.0;
-  char* end = nullptr;
-  const double value = std::strtod(label.c_str(), &end);
-  if (end == label.c_str() || value <= 0.0) return 0.0;
-  if (*end == '\0') return value;
-  if (std::string(end) == "k") return value * 1000.0;
-  return 0.0;
-}
-
-/// One measured (task count, real_time ms) point of a (scenario, mapper).
-struct BenchPoint {
-  double tasks = 0.0;
-  double ms = 0.0;
-};
-
-using BenchPoints =
-    std::map<std::pair<std::string, std::string>, std::vector<BenchPoint>>;
-
-/// Extracts every "scenario/mapper/<tasks>" run of a BENCH_macro.json;
-/// empty on any shape surprise (the caller falls back to the analytic
-/// model — a stale or foreign benchmark file must not abort a sweep).
-BenchPoints bench_points_of(const std::string& path) {
-  BenchPoints points;
-  std::ifstream in(path);
-  if (!in) return points;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    const JsonValue root = parse_json(buffer.str(), "bench macro JSON");
-    const JsonValue* suites = json_find(root, "benchmarks");
-    if (suites == nullptr || suites->kind != JsonValue::Kind::Object) {
-      return points;
-    }
-    for (const auto& [suite_name, suite] : suites->members) {
-      if (suite.kind != JsonValue::Kind::Object) continue;
-      const JsonValue* runs = json_find(suite, "benchmarks");
-      if (runs == nullptr || runs->kind != JsonValue::Kind::Array) continue;
-      for (const JsonValue& run : runs->items) {
-        if (run.kind != JsonValue::Kind::Object) continue;
-        const JsonValue* name = json_find(run, "run_name");
-        const JsonValue* ms = json_find(run, "real_time");
-        if (name == nullptr || name->kind != JsonValue::Kind::String ||
-            ms == nullptr || ms->kind != JsonValue::Kind::Number) {
-          continue;
-        }
-        const auto first = name->text.find('/');
-        const auto last = name->text.rfind('/');
-        if (first == std::string::npos || last == first) continue;
-        const double tasks =
-            tasks_of_label(name->text.substr(last + 1));
-        if (tasks <= 0.0) continue;
-        const double real_time =
-            json_double(*ms, "real_time", "bench macro JSON");
-        if (!(real_time > 0.0)) continue;
-        points[{name->text.substr(0, first),
-                name->text.substr(first + 1, last - first - 1)}]
-            .push_back({tasks, real_time});
-      }
-    }
-  } catch (const std::invalid_argument&) {
-    points.clear();
-  }
-  return points;
-}
 
 /// Unique per-process suffix for steal renames: two thieves must never
 /// pick the same destination name even when they share an owner string.
@@ -158,93 +88,18 @@ class HeartbeatGuard {
 
 }  // namespace
 
-std::vector<double> lease_cell_weights(const SweepSpec& spec,
-                                       const std::string& bench_macro_path) {
-  const std::vector<SweepCell> cells = expand(spec);
-  std::vector<double> weights(cells.size(), 0.0);
-  const auto analytic = [&]() -> std::vector<double>& {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      weights[c] =
-          static_cast<double>(cells[c].config.workload.n_tasks) *
-          cells[c].config.workload.oversubscription;
-    }
-    return weights;
-  };
-  if (bench_macro_path.empty()) return analytic();
-  const BenchPoints points = bench_points_of(bench_macro_path);
-  if (points.empty()) return analytic();
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    const auto it = points.find(
-        {cells[c].point.scenario, cells[c].config.mapper});
-    // One uncovered cell poisons the whole model: mixing measured and
-    // analytic scales would skew the split worse than either alone.
-    if (it == points.end()) return analytic();
-    const double tasks = static_cast<double>(cells[c].config.workload.n_tasks);
-    const BenchPoint* nearest = &it->second.front();
-    for (const BenchPoint& point : it->second) {
-      if (std::abs(point.tasks - tasks) <
-          std::abs(nearest->tasks - tasks)) {
-        nearest = &point;
-      }
-    }
-    weights[c] = nearest->ms * tasks / nearest->tasks;
-  }
-  return weights;
-}
-
-LeasePlan LeasePlan::build(const SweepSpec& spec, std::size_t lease_units,
-                           const std::vector<double>& cell_weights) {
+LeasePlan LeasePlan::build(const SweepSpec& spec) {
   spec.validate();
   LeasePlan plan;
   plan.spec_map = canonical_spec_map(spec);
-  const std::size_t cell_count = spec.cell_count();
-  if (cell_weights.size() != cell_count) {
-    throw std::invalid_argument(
-        "lease plan: " + std::to_string(cell_weights.size()) +
-        " cell weights for a " + std::to_string(cell_count) + "-cell grid");
-  }
-  const std::size_t trials = static_cast<std::size_t>(spec.trials);
-  const std::size_t units = cell_count * trials;
-
-  if (lease_units > 0) {
-    for (std::size_t begin = 0; begin < units; begin += lease_units) {
-      plan.ranges.push_back({static_cast<long long>(plan.ranges.size()),
-                             begin, std::min(begin + lease_units, units)});
-    }
-    return plan;
-  }
-
-  // Weight-balanced split: each unit inherits its cell's weight, and cuts
-  // land at the cumulative-weight quantiles, so deep-window cells spread
-  // over many leases instead of serializing the tail.
-  const std::size_t target =
+  const std::size_t units =
+      spec.cell_count() * static_cast<std::size_t>(spec.trials);
+  const std::size_t leases =
       std::min(units, std::clamp<std::size_t>(units / 8, 16, 256));
-  double total = 0.0;
-  for (const double weight : cell_weights) {
-    total += std::max(weight, 0.0) * static_cast<double>(trials);
+  for (std::size_t i = 0; i < leases; ++i) {
+    plan.ranges.push_back({static_cast<long long>(i), units * i / leases,
+                           units * (i + 1) / leases});
   }
-  std::size_t begin = 0;
-  double cumulative = 0.0;
-  for (std::size_t u = 0; u < units; ++u) {
-    cumulative += std::max(cell_weights[u / trials], 0.0);
-    const std::size_t lease_index = plan.ranges.size();
-    if (lease_index + 1 == target) break;  // the final lease takes the rest
-    const std::size_t units_after = units - (u + 1);
-    const std::size_t leases_after = target - lease_index - 1;
-    const bool quota_met =
-        total > 0.0 &&
-        cumulative >= total * static_cast<double>(lease_index + 1) /
-                          static_cast<double>(target);
-    // Never cut so late that a later lease would come up empty.
-    if ((quota_met || units_after == leases_after) &&
-        units_after >= leases_after) {
-      plan.ranges.push_back(
-          {static_cast<long long>(lease_index), begin, u + 1});
-      begin = u + 1;
-    }
-  }
-  plan.ranges.push_back(
-      {static_cast<long long>(plan.ranges.size()), begin, units});
   return plan;
 }
 
@@ -350,7 +205,8 @@ bool LeaseDir::result_exists(const SweepLeaseRange& lease) const {
 
 LeasePlan LeaseDir::publish_or_load_plan(const LeasePlan& plan) const {
   // First writer wins; every worker (the winner included) adopts the file,
-  // so cost-model differences between workers cannot split the partition.
+  // so a directory keeps the partition it was begun with, whatever plan
+  // this build would compute.
   atomic_create_file(plan_path(), plan.to_text());
   std::ifstream in(plan_path());
   if (!in) throw std::runtime_error("cannot read " + plan_path());
@@ -449,9 +305,7 @@ ElasticSweepStats run_sweep_elastic(const SweepSpec& spec,
       options.owner.empty() ? "pid-" + std::to_string(::getpid())
                             : options.owner;
   const LeaseDir dir(options.lease_dir, options.lease_timeout_ms, owner);
-  const LeasePlan plan = dir.publish_or_load_plan(LeasePlan::build(
-      spec, options.lease_units,
-      lease_cell_weights(spec, options.bench_macro_path)));
+  const LeasePlan plan = dir.publish_or_load_plan(LeasePlan::build(spec));
 
   const auto emit = [&](const std::string& line) {
     if (options.on_event) options.on_event(line);
@@ -462,9 +316,7 @@ ElasticSweepStats run_sweep_elastic(const SweepSpec& spec,
   std::vector<bool> finished(plan.ranges.size(), false);
   std::vector<bool> ran(plan.ranges.size(), false);
 
-  ScenarioCache local_cache;
-  ScenarioCache* cache =
-      options.cache != nullptr ? options.cache : &local_cache;
+  ScenarioCache cache;
   const std::int64_t poll_ms =
       std::clamp<std::int64_t>(options.lease_timeout_ms / 4, 10, 500);
   // Start each worker's scan at a different lease so simultaneous launches
@@ -498,7 +350,7 @@ ElasticSweepStats run_sweep_elastic(const SweepSpec& spec,
         try {
           SweepOptions sweep_options;
           sweep_options.threads = options.threads;
-          sweep_options.cache = cache;
+          sweep_options.cache = &cache;
           sweep_options.lease = lease;
           report = run_sweep(spec, sweep_options);
         } catch (...) {

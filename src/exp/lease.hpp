@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/scenario_cache.hpp"
 #include "exp/sweep.hpp"
 
 namespace taskdrop {
@@ -30,33 +29,22 @@ namespace taskdrop {
 //   lease_<id>.claim   live claim: "owner <name>" + "heartbeat <ms>" lines
 //   lease_<id>.json    published result (mergeable shard JSON)
 
-/// Relative execution weight per expanded cell, used to size leases so
-/// expensive cells (deep windows, large levels) do not serialize the tail.
-/// When `bench_macro_path` names a BENCH_macro.json (google-benchmark
-/// output of bench/macro_trial, run names "scenario/mapper/<tasks>k"), each
-/// cell is priced by linear task-count scaling from the nearest measured
-/// (scenario, mapper) point. When the path is empty, unreadable, or any
-/// cell has no covering point, *every* cell falls back to the analytic
-/// n_tasks * oversubscription proxy — mixing measured and analytic scales
-/// would skew the split worse than either alone.
-std::vector<double> lease_cell_weights(const SweepSpec& spec,
-                                       const std::string& bench_macro_path);
-
-/// The deterministic partition of the unit grid into contiguous leases.
-/// Workers may be launched with different cost models or --lease-units, so
-/// the plan is agreed through the directory: the first worker publishes
-/// its plan atomically and every later worker adopts it verbatim.
+/// The partition of the unit grid into contiguous leases. The plan is
+/// agreed through the directory: the first worker publishes its plan
+/// atomically and every later worker adopts it verbatim, so a directory
+/// keeps the partition it was begun with, even under a build that would
+/// cut the grid differently.
 struct LeasePlan {
   /// Canonical spec rendering (canonical_spec_map) the plan was built for.
   SpecMap spec_map;
   std::vector<SweepLeaseRange> ranges;
 
-  /// Splits cells.size() * trials units into contiguous ranges. With
-  /// lease_units > 0, fixed-size chunks of that many units; with 0, a
-  /// weight-balanced split into min(units, clamp(units/8, 16, 256)) leases
-  /// using the per-cell weights (each unit inherits its cell's weight).
-  static LeasePlan build(const SweepSpec& spec, std::size_t lease_units,
-                         const std::vector<double>& cell_weights);
+  /// Cuts the U = cells.size() * trials units into K = min(U, clamp(U/8,
+  /// 16, 256)) equal contiguous leases, lease i = [U*i/K, U*(i+1)/K), so
+  /// sizes differ by at most one unit. With 8 trials and 16 to 256 cells a
+  /// lease is one cell's trials, so its thread pool runs units of equal
+  /// cost.
+  static LeasePlan build(const SweepSpec& spec);
 
   /// Versioned text form stored as plan.txt; from_text(to_text()) is
   /// exact. Throws std::invalid_argument when the spec map does not
@@ -128,14 +116,8 @@ struct ElasticSweepOptions {
   /// A claim whose heartbeat is older than this is considered dead and
   /// gets stolen. Must comfortably exceed the renewal period (timeout/3).
   std::int64_t lease_timeout_ms = 30000;
-  /// Fixed units per lease; 0 sizes leases from the cost model.
-  std::size_t lease_units = 0;
-  /// Optional BENCH_macro.json for cost-model lease sizing.
-  std::string bench_macro_path;
   /// Worker threads per lease (run_sweep semantics; 0 = hardware).
   std::size_t threads = 0;
-  /// Optional externally shared scenario cache.
-  ScenarioCache* cache = nullptr;
   /// Worker name for claim files; empty derives "pid-<pid>".
   std::string owner;
   /// Progress lines ("lease 3 [24, 48) acquired", ...), serialized.

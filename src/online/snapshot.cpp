@@ -1,7 +1,5 @@
 #include "online/snapshot.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -10,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "util/spec_parser.hpp"
 #include "util/table.hpp"
 
 namespace taskdrop {
@@ -76,26 +75,21 @@ std::string expect_kv(std::istringstream& in, const std::string& key) {
   return token.substr(prefix.size());
 }
 
-long long parse_ll(const std::string& what, const std::string& text) {
-  if (text.empty()) bad(what + " is empty");
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    bad(what + " is not an integer: '" + text + "'");
-  }
-  return value;
+/// The next token of `in` as the integer field `what`. Snapshot numbers
+/// parse as spec values do (util/spec_parser), with the field named.
+long long next_int(std::istringstream& in, const std::string& what) {
+  return parse_spec_i64("snapshot: " + what, next_token(in, what));
 }
 
 long long parse_kv_ll(std::istringstream& in, const std::string& key) {
-  return parse_ll(key, expect_kv(in, key));
+  return parse_spec_i64("snapshot: " + key, expect_kv(in, key));
 }
 
 /// A restored time, held to the live state's horizon (`lowest` as in
 /// SystemState::check_time).
 Tick parse_time(const std::string& what, const std::string& text,
                 Tick lowest) {
-  const Tick t = parse_ll(what, text);
+  const Tick t = parse_spec_i64("snapshot: " + what, text);
   try {
     SystemState::check_time(what.c_str(), t, lowest);
   } catch (const std::invalid_argument& error) {
@@ -104,32 +98,10 @@ Tick parse_time(const std::string& what, const std::string& text,
   return t;
 }
 
-std::uint64_t parse_u64(const std::string& what, const std::string& text) {
-  if (text.empty() || text[0] == '-') bad(what + " must be non-negative");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    bad(what + " is not an integer: '" + text + "'");
-  }
-  return value;
-}
-
 bool parse_kv_bool(std::istringstream& in, const std::string& key) {
   const long long value = parse_kv_ll(in, key);
   if (value != 0 && value != 1) bad(key + " must be 0 or 1");
   return value != 0;
-}
-
-double parse_double(const std::string& what, const std::string& text) {
-  if (text.empty()) bad(what + " is empty");
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    bad(what + " is not a number: '" + text + "'");
-  }
-  return value;
 }
 
 void expect_literal(std::istringstream& in, const std::string& literal) {
@@ -253,13 +225,13 @@ void OnlineScheduler::restore(std::istream& in) {
           "approx extension differs from the snapshotted config");
     // float-eq-ok: the echo is written with shortest-round-trip rendering,
     // so bitwise equality is exactly the "same config" contract.
-    check(parse_double("approx_time_factor",
-                       expect_kv(line, "approx_time_factor")) ==
+    check(parse_spec_double("snapshot: approx_time_factor",
+                            expect_kv(line, "approx_time_factor")) ==
               config_.approx.time_factor,
           "approx time factor differs from the snapshotted config");
     // float-eq-ok: same shortest-round-trip echo contract as above.
-    check(parse_double("approx_utility_weight",
-                       expect_kv(line, "approx_utility_weight")) ==
+    check(parse_spec_double("snapshot: approx_utility_weight",
+                            expect_kv(line, "approx_utility_weight")) ==
               config_.approx.utility_weight,
           "approx utility weight differs from the snapshotted config");
     check(parse_kv_ll(line, "shed_total") ==
@@ -268,7 +240,8 @@ void OnlineScheduler::restore(std::istream& in) {
     check(parse_kv_ll(line, "shed_machine") ==
               config_.shed.machine_backlog_watermark,
           "shed machine watermark differs from the snapshotted config");
-    check(parse_u64("pet fingerprint", expect_kv(line, "pet")) ==
+    check(parse_spec_u64("snapshot: pet fingerprint",
+                         expect_kv(line, "pet")) ==
               pet_fingerprint(state_.pet()),
           "PET fingerprint differs — snapshot was taken against a "
           "different scenario");
@@ -326,10 +299,9 @@ void OnlineScheduler::restore(std::istream& in) {
       std::istringstream task_line(next_line(in, "task table"));
       expect_literal(task_line, "T");
       Task task;
-      task.id = parse_ll("task id", next_token(task_line, "task id"));
+      task.id = next_int(task_line, "task id");
       check(task.id == i, "task ids must be dense and ascending");
-      task.type = static_cast<TaskTypeId>(
-          parse_ll("task type", next_token(task_line, "task type")));
+      task.type = static_cast<TaskTypeId>(next_int(task_line, "task type"));
       check(task.type >= 0 && task.type < state_.pet().task_type_count(),
             "task type out of range for this PET");
       task.arrival =
@@ -338,23 +310,18 @@ void OnlineScheduler::restore(std::istream& in) {
           parse_time("deadline", next_token(task_line, "deadline"),
                      -SystemState::kTimeHorizon);
       task.state = task_state_from_name(next_token(task_line, "task state"));
-      const long long approx =
-          parse_ll("approx flag", next_token(task_line, "approx flag"));
+      const long long approx = next_int(task_line, "approx flag");
       check(approx == 0 || approx == 1, "approx flag must be 0 or 1");
       task.approximate = approx != 0;
-      task.machine = static_cast<MachineId>(
-          parse_ll("task machine", next_token(task_line, "task machine")));
+      task.machine =
+          static_cast<MachineId>(next_int(task_line, "task machine"));
       check(task.machine >= -1 &&
                 task.machine < static_cast<MachineId>(machines.size()),
             "task machine out of range");
-      task.start_time =
-          parse_ll("start time", next_token(task_line, "start time"));
-      task.finish_time =
-          parse_ll("finish time", next_token(task_line, "finish time"));
-      task.drop_time =
-          parse_ll("drop time", next_token(task_line, "drop time"));
-      task.actual_execution = parse_ll(
-          "actual execution", next_token(task_line, "actual execution"));
+      task.start_time = next_int(task_line, "start time");
+      task.finish_time = next_int(task_line, "finish time");
+      task.drop_time = next_int(task_line, "drop time");
+      task.actual_execution = next_int(task_line, "actual execution");
       expect_line_done(task_line);
       tasks.push_back(task);
     }
@@ -372,42 +339,33 @@ void OnlineScheduler::restore(std::istream& in) {
       std::istringstream machine_line(next_line(in, "machine table"));
       expect_literal(machine_line, "M");
       Machine& machine = machines[m];
-      check(parse_ll("machine id", next_token(machine_line, "machine id")) ==
-                machine.id,
+      check(next_int(machine_line, "machine id") == machine.id,
             "machine ids must be dense and ascending");
-      check(parse_ll("machine type",
-                     next_token(machine_line, "machine type")) ==
-                machine.type,
+      check(next_int(machine_line, "machine type") == machine.type,
             "machine type differs from the constructed fleet");
-      const long long up = parse_ll("up", next_token(machine_line, "up"));
-      const long long running =
-          parse_ll("running", next_token(machine_line, "running"));
+      const long long up = next_int(machine_line, "up");
+      const long long running = next_int(machine_line, "running");
       check((up == 0 || up == 1) && (running == 0 || running == 1),
             "up/running flags must be 0 or 1");
       machine.up = up != 0;
       machine.running = running != 0;
       machine.run_start =
           parse_time("run_start", next_token(machine_line, "run_start"), 0);
-      machine.run_end =
-          parse_ll("run_end", next_token(machine_line, "run_end"));
+      machine.run_end = next_int(machine_line, "run_end");
       machine.run_token = static_cast<std::uint32_t>(
-          parse_ll("run_token", next_token(machine_line, "run_token")));
-      machine.busy_ticks =
-          parse_ll("busy_ticks", next_token(machine_line, "busy_ticks"));
-      const TaskId offer = parse_ll(
-          "start offer", next_token(machine_line, "start offer"));
+          next_int(machine_line, "run_token"));
+      machine.busy_ticks = next_int(machine_line, "busy_ticks");
+      const TaskId offer = next_int(machine_line, "start offer");
       check(offer >= -1 && offer < static_cast<TaskId>(tasks.size()),
             "start offer out of range");
       start_offered_[m] = offer;
       expect_literal(machine_line, "q");
-      const long long queued =
-          parse_ll("queue length", next_token(machine_line, "queue length"));
+      const long long queued = next_int(machine_line, "queue length");
       check(queued >= 0 && queued <= machine.capacity,
             "queue length exceeds capacity");
       machine.queue.clear();
       for (long long k = 0; k < queued; ++k) {
-        const TaskId id = parse_ll(
-            "queued task id", next_token(machine_line, "queued task id"));
+        const TaskId id = next_int(machine_line, "queued task id");
         check(id >= 0 && id < static_cast<TaskId>(tasks.size()),
               "queued task id out of range");
         const Task& task = tasks[static_cast<std::size_t>(id)];
@@ -432,8 +390,7 @@ void OnlineScheduler::restore(std::istream& in) {
     check(count >= 0 && count <= static_cast<long long>(tasks.size()),
           "batch size out of range");
     for (long long i = 0; i < count; ++i) {
-      const TaskId id =
-          parse_ll("batch task id", next_token(line, "batch task id"));
+      const TaskId id = next_int(line, "batch task id");
       check(id >= 0 && id < static_cast<TaskId>(tasks.size()),
             "batch task id out of range");
       check(tasks[static_cast<std::size_t>(id)].state == TaskState::Unmapped,

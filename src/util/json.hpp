@@ -7,7 +7,7 @@
 namespace taskdrop {
 
 /// Minimal JSON document model shared by every reader in the tree (sweep
-/// shard/lease documents, the BENCH_macro cost model). Sized to the
+/// shard/lease documents, JSON-subset spec files). Sized to the
 /// project's own schemas: objects, arrays, strings, numbers, bools, null,
 /// and exactly the escapes the report writer emits. Numbers keep their
 /// token text so integer fields convert exactly and doubles go through one

@@ -348,6 +348,35 @@ TEST(OnlineSnapshot, RestoreRejectsTimesPastTheHorizon) {
   EXPECT_NO_THROW(restore_from_string(target.scheduler, snapshot));
 }
 
+TEST(OnlineSnapshot, RestoreRejectsMalformedAndOutOfRangeIntegers) {
+  // Snapshot numbers parse as spec values do (util/spec_parser): a token
+  // with trailing characters, or one past the 64-bit range, is rejected
+  // with a message that names the field.
+  ServeFixture source("PAM");
+  source.scheduler.task_arrived(3, 0, 123457);
+  const std::string snapshot = snapshot_to_string(source.scheduler);
+  const std::string task = "T 0 0 3 123457 ";
+  ASSERT_NE(snapshot.find(task), std::string::npos);
+  const auto expect_rejected = [&](const std::string& edited,
+                                   const std::string& message) {
+    std::string text = snapshot;
+    text.replace(text.find(task), task.size(), edited);
+    ServeFixture target("PAM");
+    try {
+      restore_from_string(target.scheduler, text);
+      ADD_FAILURE() << "'" << edited << "' was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_rejected("T 0 3x 3 123457 ",
+                  "snapshot: task type: malformed integer '3x'");
+  expect_rejected(
+      "T 0 0 3 18446744073709551616 ",
+      "snapshot: deadline: integer out of range '18446744073709551616'");
+}
+
 TEST(OnlineSnapshot, RestoreRejectsGarbage) {
   ServeFixture target("PAM");
   EXPECT_THROW(restore_from_string(target.scheduler, "not a snapshot\n"),

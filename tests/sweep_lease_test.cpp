@@ -106,42 +106,35 @@ void expect_tiles_grid(const LeasePlan& plan, std::size_t units) {
 
 // --- Lease plans. -------------------------------------------------------
 
-TEST(LeasePlan, FixedSizeChunksTileTheGrid) {
-  const SweepSpec spec = lease_spec();  // 4 units
-  const LeasePlan plan =
-      LeasePlan::build(spec, 3, lease_cell_weights(spec, ""));
-  ASSERT_EQ(plan.ranges.size(), 2u);
-  EXPECT_EQ(plan.ranges[0].begin, 0u);
-  EXPECT_EQ(plan.ranges[0].end, 3u);
-  EXPECT_EQ(plan.ranges[1].begin, 3u);
-  EXPECT_EQ(plan.ranges[1].end, 4u);
-  expect_tiles_grid(plan, 4);
-}
+TEST(LeasePlan, EqualContiguousSlicesTileTheGrid) {
+  // 4 units: min(4, clamp(4/8, 16, 256)) = 4 leases of one unit each.
+  const LeasePlan tiny = LeasePlan::build(lease_spec());
+  expect_tiles_grid(tiny, 4);
+  ASSERT_EQ(tiny.ranges.size(), 4u);
+  for (const SweepLeaseRange& lease : tiny.ranges) {
+    EXPECT_EQ(lease.end - lease.begin, 1u);
+  }
 
-TEST(LeasePlan, WeightBalancedSplitTilesAndIsolatesHeavyCells) {
-  // 8 cells x 3 trials = 24 units; the clamp floor gives 16 leases.
-  const SweepSpec spec = SweepSpec::from_map(parse_spec_text(
-      "name = weighted\n"
+  // 8 cells x 3 trials = 24 units; the clamp floor gives 16 leases, whose
+  // sizes differ by at most one unit.
+  const LeasePlan plan = LeasePlan::build(SweepSpec::from_map(parse_spec_text(
+      "name = equal slices\n"
       "scenario = spec_hc\n"
       "mapper = PAM, MM\n"
       "dropper = heuristic, reactive\n"
       "levels = a:100:2, b:200:3\n"
       "trials = 3\n"
-      "seed = 1\n"));
-  std::vector<double> weights(spec.cell_count(), 1.0);
-  weights[0] = 1e6;  // one pathologically expensive cell
-  const LeasePlan plan = LeasePlan::build(spec, 0, weights);
+      "seed = 1\n")));
   expect_tiles_grid(plan, 24);
-  EXPECT_EQ(plan.ranges.size(), 16u);
-  // The heavy cell's first unit saturates the first quantile on its own,
-  // so the first lease must not drag light units along with it.
-  EXPECT_EQ(plan.ranges.front().end, 1u);
+  ASSERT_EQ(plan.ranges.size(), 16u);
+  for (const SweepLeaseRange& lease : plan.ranges) {
+    EXPECT_GE(lease.end - lease.begin, 1u);
+    EXPECT_LE(lease.end - lease.begin, 2u);
+  }
 }
 
 TEST(LeasePlan, TextRoundTripIsExact) {
-  const SweepSpec spec = lease_spec();
-  const LeasePlan plan =
-      LeasePlan::build(spec, 0, lease_cell_weights(spec, ""));
+  const LeasePlan plan = LeasePlan::build(lease_spec());
   const LeasePlan reread = LeasePlan::from_text(plan.to_text());
   EXPECT_EQ(reread.spec_map, plan.spec_map);
   ASSERT_EQ(reread.ranges.size(), plan.ranges.size());
@@ -250,25 +243,22 @@ TEST(LeaseDir, StalePlanForADifferentSpecIsRejected) {
   TempDir tmp;
   const SweepSpec spec = lease_spec();
   const LeaseDir dir(tmp.str() + "/leases", 60000, "w");
-  const LeasePlan plan =
-      LeasePlan::build(spec, 1, lease_cell_weights(spec, ""));
-  dir.publish_or_load_plan(plan);
+  dir.publish_or_load_plan(LeasePlan::build(spec));
 
   SweepSpec other = spec;
   other.seed = 9001;
-  const LeasePlan other_plan =
-      LeasePlan::build(other, 1, lease_cell_weights(other, ""));
-  EXPECT_THROW(dir.publish_or_load_plan(other_plan), std::invalid_argument);
+  EXPECT_THROW(dir.publish_or_load_plan(LeasePlan::build(other)),
+               std::invalid_argument);
 }
 
 // --- End-to-end elastic execution. --------------------------------------
 
+/// LeasePlan::build cuts lease_spec()'s 4 units into 4 one-unit leases.
 ElasticSweepOptions elastic_options(const std::string& dir,
                                     const std::string& owner) {
   ElasticSweepOptions options;
   options.lease_dir = dir;
   options.lease_timeout_ms = 60000;
-  options.lease_units = 1;  // 4 leases for the 4-unit grid
   options.threads = 1;
   options.owner = owner;
   return options;
@@ -329,6 +319,27 @@ TEST(ElasticSweep, StolenLeaseReproducesIdenticalBytes) {
   EXPECT_EQ(read_file(dir + "/lease_1.json"), original);
 }
 
+TEST(ElasticSweep, AdoptsThePlanTheDirectoryWasBegunWith) {
+  // A directory begun with uneven ranges this build would not compute:
+  // the plan on disk wins, so a sweep resumes under the partition it was
+  // begun with (the cross-build resume contract).
+  TempDir tmp;
+  const std::string dir = tmp.str() + "/leases";
+  const SweepSpec spec = lease_spec();
+  LeasePlan begun;
+  begun.spec_map = canonical_spec_map(spec);
+  begun.ranges = {range_of(0, 0, 3), range_of(1, 3, 4)};
+  fs::create_directories(dir);
+  atomic_write_file(dir + "/plan.txt", begun.to_text());
+
+  const ElasticSweepStats stats =
+      run_sweep_elastic(spec, elastic_options(dir, "resumer"));
+  EXPECT_EQ(stats.leases_total, 2u);
+  EXPECT_EQ(stats.leases_run, 2u);
+  const SweepReport merged = merge_sweep_reports(read_lease_docs(dir, 2));
+  EXPECT_EQ(json_of(merged), json_of(run_sweep(spec)));
+}
+
 // --- Merging re-executed and damaged documents. -------------------------
 
 TEST(ElasticSweep, ReexecutedDuplicatesNeedTheFlagAndDivergenceIsFatal) {
@@ -374,42 +385,6 @@ TEST(ElasticSweep, TruncatedResultFileIsRejectedWithLineAndOffset) {
     EXPECT_NE(message.find("line"), std::string::npos) << message;
     EXPECT_NE(message.find("offset"), std::string::npos) << message;
   }
-}
-
-// --- Cost-model lease sizing. -------------------------------------------
-
-TEST(LeaseCellWeights, AnalyticFallbackAndBenchScaling) {
-  TempDir tmp;
-  const SweepSpec spec = lease_spec();  // cells: (spec_hc, PAM), (spec_hc, MM)
-
-  // No benchmark file: the analytic n_tasks x oversubscription proxy.
-  const std::vector<double> analytic = lease_cell_weights(spec, "");
-  ASSERT_EQ(analytic.size(), 2u);
-  EXPECT_DOUBLE_EQ(analytic[0], 120.0 * 2.0);
-  EXPECT_DOUBLE_EQ(analytic[1], 120.0 * 2.0);
-  EXPECT_EQ(lease_cell_weights(spec, tmp.str() + "/missing.json"), analytic);
-
-  // Full coverage: each cell priced by linear task-count scaling from its
-  // (scenario, mapper) measurement.
-  const std::string bench = tmp.str() + "/bench.json";
-  atomic_write_file(
-      bench,
-      "{\"benchmarks\": {\"macro_trial\": {\"benchmarks\": ["
-      "{\"run_name\": \"spec_hc/PAM/1k\", \"real_time\": 10.0},"
-      "{\"run_name\": \"spec_hc/MM/1k\", \"real_time\": 40.0}]}}}");
-  const std::vector<double> measured = lease_cell_weights(spec, bench);
-  ASSERT_EQ(measured.size(), 2u);
-  EXPECT_DOUBLE_EQ(measured[0], 10.0 * 120.0 / 1000.0);
-  EXPECT_DOUBLE_EQ(measured[1], 40.0 * 120.0 / 1000.0);
-
-  // Partial coverage (no MM point): all-or-nothing fallback to analytic —
-  // mixing measured and analytic scales would skew the split.
-  const std::string partial = tmp.str() + "/partial.json";
-  atomic_write_file(
-      partial,
-      "{\"benchmarks\": {\"macro_trial\": {\"benchmarks\": ["
-      "{\"run_name\": \"spec_hc/PAM/1k\", \"real_time\": 10.0}]}}}");
-  EXPECT_EQ(lease_cell_weights(spec, partial), analytic);
 }
 
 // --- run_sweep lease plumbing. ------------------------------------------

@@ -46,8 +46,7 @@ wait_for_glob() {
 # --- Phase 1: three workers, one SIGKILLed mid-lease. -------------------
 kill_dir="$tmp_dir/leases_kill"
 elastic=(sweep --spec="$spec" "$@" --elastic --lease-dir="$kill_dir"
-         --lease-timeout="$timeout_ms" --lease-units=1 --threads=2
-         --progress)
+         --lease-timeout="$timeout_ms" --threads=2 --progress)
 
 "$cli" "${elastic[@]}" > /dev/null 2> "$tmp_dir/victim.log" &
 victim=$!
@@ -100,7 +99,7 @@ fi
 # --- Phase 2: kill a lone worker, re-launch, resume for free. -----------
 resume_dir="$tmp_dir/leases_resume"
 elastic_resume=(sweep --spec="$spec" "$@" --elastic --lease-dir="$resume_dir"
-                --lease-timeout="$timeout_ms" --lease-units=1 --threads=2)
+                --lease-timeout="$timeout_ms" --threads=2)
 
 "$cli" "${elastic_resume[@]}" > /dev/null 2>&1 &
 solo=$!

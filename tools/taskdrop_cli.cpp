@@ -15,8 +15,7 @@
      taskdrop_cli sweep --spec=specs/grid.sweep --shard=0/3 --json \
                   --out=shard_0.json
      taskdrop_cli sweep --spec=specs/grid.sweep --elastic \
-                  --lease-dir=leases [--lease-timeout=30000] \
-                  [--lease-units=N] [--bench-macro=BENCH_macro.json]
+                  --lease-dir=leases [--lease-timeout=30000]
      taskdrop_cli merge shard_0.json shard_1.json shard_2.json \
                   [--allow-reexecuted] [--format=table|csv|json] \
                   [--out=merged.json]
@@ -44,7 +43,8 @@
    shards and merges them locally).
 
    `--elastic` hands out contiguous leases through --lease-dir instead
-   (see src/exp/lease.hpp and the README's "Elastic sweeps" section): any
+   (see src/exp/lease.hpp and the README's "Elastic sweeps" section): the
+   grid is cut into equal contiguous leases (LeasePlan::build), and any
    number of workers share the directory, claim leases, renew heartbeats
    while computing, and steal leases whose owner died (heartbeat older
    than --lease-timeout ms). Results land as <dir>/lease_*.json; `merge
@@ -263,7 +263,7 @@ int run_sweep_command(const Flags& flags) {
   const SweepSpec spec = SweepSpec::from_map(resolve_spec_map(
       "sweep", flags,
       {"csv", "json", "out", "progress", "threads", "shard", "elastic",
-       "lease-dir", "lease-timeout", "lease-units", "bench-macro"}));
+       "lease-dir", "lease-timeout"}));
 
   const std::int64_t threads = flags.get_int("threads", 0);
   if (threads < 0 || threads > 4096) {
@@ -296,14 +296,6 @@ int run_sweep_command(const Flags& flags) {
           std::to_string(timeout));
     }
     elastic.lease_timeout_ms = timeout;
-    const std::int64_t lease_units = flags.get_int("lease-units", 0);
-    if (lease_units < 0) {
-      throw std::invalid_argument(
-          "--lease-units must be >= 0 (0 sizes leases from the cost "
-          "model), got " + std::to_string(lease_units));
-    }
-    elastic.lease_units = static_cast<std::size_t>(lease_units);
-    elastic.bench_macro_path = flags.get("bench-macro", "");
     elastic.threads = static_cast<std::size_t>(threads);
     if (flags.get_bool("progress")) {
       elastic.on_event = [](const std::string& line) {
@@ -736,26 +728,28 @@ int main(int argc, char** argv) {
     // pre-subcommand invocations keep working.
     const bool named = argc > 1 && argv[1][0] != '-';
     const std::string command = named ? argv[1] : "run";
-    if (command == "merge") {
-      // Shard files are the bare (non-flag) tokens after the subcommand.
-      std::vector<std::string> files;
-      for (int i = 2; i < argc; ++i) {
-        if (argv[i][0] != '-') files.emplace_back(argv[i]);
-      }
-      return run_merge_command(flags, files);
-    }
-    if (command != "run" && command != "sweep" && command != "serve") {
+    if (command != "run" && command != "sweep" && command != "merge" &&
+        command != "serve") {
       throw std::invalid_argument("unknown command: " + command +
                                   " (available: run, sweep, merge, serve)");
     }
     // Flags reads only --key[=value] tokens; any other would be dropped
-    // silently (a spec path without --spec=, a single-dash flag).
+    // silently (a spec path without --spec=, a single-dash flag). The one
+    // exception is merge's shard files: its bare tokens.
+    std::vector<std::string> files;
     for (int i = named ? 2 : 1; i < argc; ++i) {
-      if (std::string_view(argv[i]).starts_with("--")) continue;
+      const std::string_view token(argv[i]);
+      if (token.starts_with("--")) continue;
+      if (command == "merge" && !token.starts_with("-")) {
+        files.emplace_back(token);
+        continue;
+      }
       throw std::invalid_argument(
-          command + ": unexpected argument '" + argv[i] +
-          "' (flags are --key[=value]; a spec file is --spec=FILE)");
+          command + ": unexpected argument '" + std::string(token) +
+          "' (flags are --key[=value]" +
+          (command == "merge" ? ")" : "; a spec file is --spec=FILE)"));
     }
+    if (command == "merge") return run_merge_command(flags, files);
     if (command == "run") return run_single(flags);
     if (command == "sweep") return run_sweep_command(flags);
     return run_serve_command(flags);
