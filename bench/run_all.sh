@@ -17,7 +17,7 @@
 # of `taskdrop_cli sweep` costs about one macro_trial run of its
 # (scenario, mapper, level), a guide for picking the shard count in
 # tools/sweep_shards.sh (see the README's "Sharded sweeps" section). No
-# program reads it; elastic leases are equal slices of the unit grid.
+# program reads it; elastic leases are sized from the sweep spec alone.
 set -euo pipefail
 
 bin_dir=${1:?usage: run_all.sh <bin-dir> [out.json] [schema] [bench ...]}

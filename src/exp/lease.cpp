@@ -92,14 +92,44 @@ LeasePlan LeasePlan::build(const SweepSpec& spec) {
   spec.validate();
   LeasePlan plan;
   plan.spec_map = canonical_spec_map(spec);
-  const std::size_t units =
-      spec.cell_count() * static_cast<std::size_t>(spec.trials);
-  const std::size_t leases =
+  const std::vector<SweepCell> cells = expand(spec);
+  const std::size_t trials = static_cast<std::size_t>(spec.trials);
+  const std::size_t units = cells.size() * trials;
+
+  // Each unit weighs its cell's n_tasks * oversubscription, and cuts land
+  // at the cumulative-weight quantiles, so cells of larger levels spread
+  // over more leases instead of serializing the tail.
+  const auto weight = [&cells](std::size_t cell) {
+    return static_cast<double>(cells[cell].config.workload.n_tasks) *
+           cells[cell].config.workload.oversubscription;
+  };
+  const std::size_t target =
       std::min(units, std::clamp<std::size_t>(units / 8, 16, 256));
-  for (std::size_t i = 0; i < leases; ++i) {
-    plan.ranges.push_back({static_cast<long long>(i), units * i / leases,
-                           units * (i + 1) / leases});
+  double total = 0.0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    total += weight(c) * static_cast<double>(trials);
   }
+  std::size_t begin = 0;
+  double cumulative = 0.0;
+  for (std::size_t u = 0; u < units; ++u) {
+    cumulative += weight(u / trials);
+    const std::size_t lease_index = plan.ranges.size();
+    if (lease_index + 1 == target) break;  // the final lease takes the rest
+    const std::size_t units_after = units - (u + 1);
+    const std::size_t leases_after = target - lease_index - 1;
+    const bool quota_met =
+        cumulative >= total * static_cast<double>(lease_index + 1) /
+                          static_cast<double>(target);
+    // Never cut so late that a later lease would come up empty.
+    if ((quota_met || units_after == leases_after) &&
+        units_after >= leases_after) {
+      plan.ranges.push_back(
+          {static_cast<long long>(lease_index), begin, u + 1});
+      begin = u + 1;
+    }
+  }
+  plan.ranges.push_back(
+      {static_cast<long long>(plan.ranges.size()), begin, units});
   return plan;
 }
 

@@ -40,10 +40,11 @@ struct LeasePlan {
   std::vector<SweepLeaseRange> ranges;
 
   /// Cuts the U = cells.size() * trials units into K = min(U, clamp(U/8,
-  /// 16, 256)) equal contiguous leases, lease i = [U*i/K, U*(i+1)/K), so
-  /// sizes differ by at most one unit. With 8 trials and 16 to 256 cells a
-  /// lease is one cell's trials, so its thread pool runs units of equal
-  /// cost.
+  /// 16, 256)) contiguous leases at the quantiles of a cumulative weight:
+  /// each unit weighs its cell's n_tasks * oversubscription, so cells of
+  /// larger levels get shorter leases. Equal slices of U/8 and of U/4
+  /// were each about 10% slower on some grid and worker shape (README,
+  /// "Elastic sweeps").
   static LeasePlan build(const SweepSpec& spec);
 
   /// Versioned text form stored as plan.txt; from_text(to_text()) is

@@ -153,9 +153,9 @@ inline std::size_t sweep_unit(std::size_t cell, int trial, int trials) {
 /// u in [begin, end) with (u - begin) % stride == 0. The CLI's
 /// `--shard=I/N` is the strided lease {I, I, units, N}: round-robin units
 /// spread expensive cells (deep windows, large levels) across N static
-/// shards. Elastic leases (exp/lease.hpp) are contiguous (stride 1) equal
-/// slices: a lease directory hands them to whichever worker claims them,
-/// so a dead worker's range is re-run by a survivor.
+/// shards. Elastic leases (exp/lease.hpp) are contiguous (stride 1) and
+/// sized by each cell's level: a lease directory hands them to whichever
+/// worker claims them, so a dead worker's range is re-run by a survivor.
 struct SweepLeaseRange {
   long long id = 0;
   std::size_t begin = 0;

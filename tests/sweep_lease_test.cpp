@@ -106,7 +106,7 @@ void expect_tiles_grid(const LeasePlan& plan, std::size_t units) {
 
 // --- Lease plans. -------------------------------------------------------
 
-TEST(LeasePlan, EqualContiguousSlicesTileTheGrid) {
+TEST(LeasePlan, WeightBalancedSplitTilesAndIsolatesHeavyCells) {
   // 4 units: min(4, clamp(4/8, 16, 256)) = 4 leases of one unit each.
   const LeasePlan tiny = LeasePlan::build(lease_spec());
   expect_tiles_grid(tiny, 4);
@@ -115,21 +115,25 @@ TEST(LeasePlan, EqualContiguousSlicesTileTheGrid) {
     EXPECT_EQ(lease.end - lease.begin, 1u);
   }
 
-  // 8 cells x 3 trials = 24 units; the clamp floor gives 16 leases, whose
-  // sizes differ by at most one unit.
+  // 8 cells x 3 trials = 24 units; the clamp floor gives 16 leases. A unit
+  // of level b weighs 1000 * 4, twenty times one of level a (100 * 2), so
+  // level a's 12 units share few leases and each level-b unit gets its
+  // own.
   const LeasePlan plan = LeasePlan::build(SweepSpec::from_map(parse_spec_text(
-      "name = equal slices\n"
+      "name = weighted\n"
       "scenario = spec_hc\n"
       "mapper = PAM, MM\n"
       "dropper = heuristic, reactive\n"
-      "levels = a:100:2, b:200:3\n"
+      "levels = a:100:2, b:1000:4\n"
       "trials = 3\n"
       "seed = 1\n")));
   expect_tiles_grid(plan, 24);
   ASSERT_EQ(plan.ranges.size(), 16u);
+  EXPECT_EQ(plan.ranges.front().end, 9u);
   for (const SweepLeaseRange& lease : plan.ranges) {
-    EXPECT_GE(lease.end - lease.begin, 1u);
-    EXPECT_LE(lease.end - lease.begin, 2u);
+    if (lease.begin >= 12) {
+      EXPECT_EQ(lease.end - lease.begin, 1u) << lease_text(lease);
+    }
   }
 }
 

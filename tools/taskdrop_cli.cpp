@@ -43,8 +43,7 @@
    shards and merges them locally).
 
    `--elastic` hands out contiguous leases through --lease-dir instead
-   (see src/exp/lease.hpp and the README's "Elastic sweeps" section): the
-   grid is cut into equal contiguous leases (LeasePlan::build), and any
+   (see src/exp/lease.hpp and the README's "Elastic sweeps" section): any
    number of workers share the directory, claim leases, renew heartbeats
    while computing, and steal leases whose owner died (heartbeat older
    than --lease-timeout ms). Results land as <dir>/lease_*.json; `merge
@@ -728,28 +727,33 @@ int main(int argc, char** argv) {
     // pre-subcommand invocations keep working.
     const bool named = argc > 1 && argv[1][0] != '-';
     const std::string command = named ? argv[1] : "run";
-    if (command != "run" && command != "sweep" && command != "merge" &&
-        command != "serve") {
+    if (command == "merge") {
+      // Shard files are the bare (non-flag) tokens after the subcommand; a
+      // single-dash token is neither a file nor a flag Flags would read.
+      std::vector<std::string> files;
+      for (int i = 2; i < argc; ++i) {
+        if (argv[i][0] != '-') {
+          files.emplace_back(argv[i]);
+        } else if (argv[i][1] != '-') {
+          throw std::invalid_argument(
+              std::string("merge: unexpected argument '") + argv[i] +
+              "' (flags are --key[=value])");
+        }
+      }
+      return run_merge_command(flags, files);
+    }
+    if (command != "run" && command != "sweep" && command != "serve") {
       throw std::invalid_argument("unknown command: " + command +
                                   " (available: run, sweep, merge, serve)");
     }
     // Flags reads only --key[=value] tokens; any other would be dropped
-    // silently (a spec path without --spec=, a single-dash flag). The one
-    // exception is merge's shard files: its bare tokens.
-    std::vector<std::string> files;
+    // silently (a spec path without --spec=, a single-dash flag).
     for (int i = named ? 2 : 1; i < argc; ++i) {
-      const std::string_view token(argv[i]);
-      if (token.starts_with("--")) continue;
-      if (command == "merge" && !token.starts_with("-")) {
-        files.emplace_back(token);
-        continue;
-      }
+      if (std::string_view(argv[i]).starts_with("--")) continue;
       throw std::invalid_argument(
-          command + ": unexpected argument '" + std::string(token) +
-          "' (flags are --key[=value]" +
-          (command == "merge" ? ")" : "; a spec file is --spec=FILE)"));
+          command + ": unexpected argument '" + argv[i] +
+          "' (flags are --key[=value]; a spec file is --spec=FILE)");
     }
-    if (command == "merge") return run_merge_command(flags, files);
     if (command == "run") return run_single(flags);
     if (command == "sweep") return run_sweep_command(flags);
     return run_serve_command(flags);
