@@ -24,13 +24,16 @@ constexpr benchmark::IterationCount kFixturePoolIterations =
 
 /// Runs `step(fixture)` once per iteration, each time on a fixture from
 /// `make()` that no earlier iteration touched. Building (and replacing) a
-/// pool of kFixturePoolSize happens with the timer paused.
+/// pool of `pool_size` fixtures happens with the timer paused. A step
+/// whose cost depends on its fixture still being in cache takes a pool of
+/// one and pays a pause/resume pair per iteration instead.
 template <typename Make, typename Step>
-void run_with_fixture_pool(benchmark::State& state, Make make, Step step) {
-  std::vector<decltype(make())> pool(kFixturePoolSize);
-  std::size_t next = kFixturePoolSize;
+void run_with_fixture_pool(benchmark::State& state, Make make, Step step,
+                           std::size_t pool_size = kFixturePoolSize) {
+  std::vector<decltype(make())> pool(pool_size);
+  std::size_t next = pool_size;
   for (auto _ : state) {
-    if (next == kFixturePoolSize) {
+    if (next == pool_size) {
       state.PauseTiming();
       for (auto& fixture : pool) fixture = make();
       next = 0;

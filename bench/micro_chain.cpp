@@ -85,7 +85,10 @@ BENCHMARK(BM_DeepAppendedScan)->RangeMultiplier(2)->Range(8, 64);
 
 /// The common mapping-event mutation at depth: append one task and query
 /// only the new tail. Dirty-index tracking makes this a single
-/// deadline-truncated convolution regardless of queue depth.
+/// deadline-truncated convolution regardless of queue depth. Pool of one:
+/// from a pool of 64, each append read a queue built up to 63 steps
+/// earlier, and the /32 and /64 rows timed its cache misses (a third
+/// apart between two runs of one binary).
 void BM_DeepIncrementalAppend(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   const auto deadline =
@@ -96,7 +99,8 @@ void BM_DeepIncrementalAppend(benchmark::State& state) {
         system->enqueue(0, 0, deadline);
         benchmark::DoNotOptimize(
             system->model(0).chance(system->machine(0).queue.size() - 1));
-      });
+      },
+      /*pool_size=*/1);
 }
 BENCHMARK(BM_DeepIncrementalAppend)
     ->RangeMultiplier(2)

@@ -101,13 +101,13 @@ void BM_OnlineSnapshotRoundTrip(benchmark::State& state) {
 
   std::size_t bytes = 0;
   for (auto _ : state) {
-    const std::string snapshot = snapshot_to_string(scheduler);
+    const std::string snapshot = snapshot_to_string(scheduler, {});
     bytes = snapshot.size();
     auto fresh_mapper = make_mapper("PAM");
     ProactiveHeuristicDropper fresh_dropper;
     OnlineScheduler restored(scn.pet, scn.profile.machine_types,
                              *fresh_mapper, fresh_dropper, config);
-    restore_from_string(restored, snapshot);
+    restore_from_string(restored, snapshot, {});
     benchmark::DoNotOptimize(restored.now());
   }
   state.SetItemsProcessed(state.iterations());

@@ -13,6 +13,13 @@
 # `... --target bench_macro`, which write BENCH_micro.json /
 # BENCH_macro.json in the repository root.
 #
+# The merged file's `context` is the first binary's Google Benchmark
+# context plus the build the binaries came from: compiler, build type and
+# C++ flags (from <bin-dir>/build_context.json, which bench/CMakeLists.txt
+# writes) and the git commit (`-dirty` when the tree had changes). Its
+# `library_build_type` describes the system Google Benchmark library, not
+# this build.
+#
 # The macro baseline also prices a sweep by hand: one (cell, trial) unit
 # of `taskdrop_cli sweep` costs about one macro_trial run of its
 # (scenario, mapper, level), a guide for picking the shard count in
@@ -45,14 +52,27 @@ for bench in "${benches[@]}"; do
          --benchmark_out_format=json
 done
 
-python3 - "$out" "$schema" "$tmp_dir" "${benches[@]}" <<'EOF'
-import json, sys
-out, schema, tmp_dir, names = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
+git_sha=$(git -C "$(dirname "$0")" describe --always --dirty --abbrev=40 \
+          2>/dev/null || echo unknown)
+
+python3 - "$out" "$schema" "$tmp_dir" "$bin_dir" "$git_sha" "${benches[@]}" <<'EOF'
+import json, os, sys
+out, schema, tmp_dir, bin_dir, git_sha = sys.argv[1:6]
+names = sys.argv[6:]
 merged = {"schema": schema, "benchmarks": {}}
 for name in names:
     with open(f"{tmp_dir}/{name}.json") as fh:
         merged["benchmarks"][name] = json.load(fh)
-merged["context"] = merged["benchmarks"][names[0]].get("context", {})
+context = dict(merged["benchmarks"][names[0]].get("context", {}))
+build_context = os.path.join(bin_dir, "build_context.json")
+if os.path.exists(build_context):
+    with open(build_context) as fh:
+        context.update(json.load(fh))
+context["git_sha"] = git_sha
+context["library_build_type_note"] = (
+    "library_build_type is the system Google Benchmark library's build, "
+    "not this build's (see build_type)")
+merged["context"] = context
 with open(out, "w") as fh:
     json.dump(merged, fh, indent=2)
     fh.write("\n")

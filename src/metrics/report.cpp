@@ -128,17 +128,6 @@ void write_point_json(std::ostream& os, const SweepPoint& point) {
   os << '}';
 }
 
-void write_config_json(std::ostream& os, const ExperimentConfig& config) {
-  os << "\"config\": {\"mapper\": \"" << json_escape(config.mapper)
-     << "\", \"dropper\": \"" << config.dropper.name()
-     << "\", \"tasks\": " << config.workload.n_tasks
-     << ", \"oversub\": " << json_number(config.workload.oversubscription)
-     << ", \"gamma\": " << json_number(config.workload.gamma)
-     << ", \"capacity\": " << config.queue_capacity
-     << ", \"trials\": " << config.trials << ", \"seed\": " << config.seed
-     << '}';
-}
-
 void write_cell_summaries_json(std::ostream& os, const ExperimentResult& r) {
   os << "\"metrics\": {";
   write_summary_json(os, "robustness_pct", r.robustness);
@@ -226,8 +215,6 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
     os << (first_cell ? "\n" : ",\n") << "    {";
     if (mergeable) os << "\"cell\": " << i << ",\n     ";
     write_point_json(os, cell.point);
-    os << ",\n     ";
-    write_config_json(os, cell.config);
     os << ",\n     ";
     if (mergeable) {
       write_cell_trials_json(os, cell);

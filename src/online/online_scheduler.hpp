@@ -12,6 +12,7 @@
 #include "sched/mapper.hpp"
 #include "sim/machine.hpp"
 #include "sim/task.hpp"
+#include "util/spec_parser.hpp"
 
 namespace taskdrop {
 
@@ -72,21 +73,14 @@ struct OnlineConfig {
   /// Extension: condition the running task's completion PMF on "not done
   /// yet" (see CompletionModel::Options).
   bool condition_running = false;
-  /// Declare that machines may go down (machine_down can be called).
-  /// Retained for configuration echo (snapshots) and as documentation of
-  /// the driver's intent; since the chain-keep refactor it no longer
-  /// changes behaviour — CompletionModel::notify_head_started decides
-  /// per start whether the cached chain is keepable (it always is on an
-  /// up machine whose chain set_now rebased across the idle gap), so
-  /// volatile fleets get the same start-time keep as stable ones, with
-  /// bit-identical decisions.
+  /// Read by nothing (machine_down works on any fleet); kept only because
+  /// perfbench/traced_layers.cpp still assigns it. Delete both together.
   bool volatile_machines = false;
   /// Test knob: force the conservative invalidate-and-rebuild on every
   /// task start and time advance (CompletionModel::Options::
   /// paranoid_rebuild). The chain-keep regression suites run a paranoid
   /// scheduler against a default one and require bit-identical decision
-  /// streams. Decision-neutral by construction — deliberately NOT part of
-  /// the snapshot config echo.
+  /// streams. Decision-neutral by construction.
   bool paranoid_invalidate = false;
   ApproxModel approx;
   /// Overload shedding; inactive by default (see ShedPolicy).
@@ -228,25 +222,23 @@ class OnlineScheduler final {
   std::vector<Task> take_tasks() { return state_.take_tasks(); }
 
   /// Writes a deterministic, versioned text serialization of the full
-  /// scheduler state (task table, machine queues, batch queue, advisory
-  /// offers, clock, counters, config echo, mapper state) — see
-  /// online/snapshot.hpp for the format and the round-trip contract.
-  /// Implemented in snapshot.cpp.
-  void snapshot(std::ostream& out) const;
+  /// scheduler state with `echo`, the driver's rendering of its
+  /// configuration, and a PET fingerprint — see online/snapshot.hpp for
+  /// the format and the round-trip contract. Implemented in snapshot.cpp.
+  void snapshot(std::ostream& out, const SpecMap& echo) const;
 
-  /// Restores a snapshot into this scheduler. The scheduler must be
-  /// freshly constructed — no callbacks issued yet — with the same PET,
-  /// fleet, config, mapper and dropper the snapshotted instance had (the
-  /// snapshot's config echo is validated against this instance; a fresh
-  /// mapper/dropper stack is required because their skip-memoisation keys
-  /// reference the old process's model revisions). Throws
-  /// std::invalid_argument on a malformed snapshot, a config mismatch, or
-  /// a non-fresh scheduler; the scheduler is unusable after a failed
-  /// restore. Completion chains are not serialized: they are derived state,
-  /// rebuilt on demand bit-identically to the incremental originals
-  /// (tests/completion_incremental_test.cpp locks rebuild ≡ incremental).
-  /// Implemented in snapshot.cpp.
-  void restore(std::istream& in);
+  /// Restores a v2 snapshot into a freshly constructed scheduler (no
+  /// callbacks issued yet) with the same PET, fleet, mapper and dropper.
+  /// `echo` must equal the snapshot's; a refusal names every differing key
+  /// with both values, before any PET mismatch. (The mapper and dropper
+  /// must be fresh because their skip-memoisation keys reference the old
+  /// process's model revisions.) Throws std::invalid_argument on a
+  /// malformed or v1 snapshot, a configuration or PET mismatch, or a
+  /// non-fresh scheduler; the scheduler is unusable after a failed
+  /// restore. Completion chains are derived state, rebuilt on demand
+  /// bit-identically (tests/completion_incremental_test.cpp locks rebuild
+  /// ≡ incremental). Implemented in snapshot.cpp.
+  void restore(std::istream& in, const SpecMap& echo);
 
  private:
   /// Throws std::invalid_argument when `t` is before now().

@@ -9,13 +9,12 @@
 #include <vector>
 
 #include "util/spec_parser.hpp"
-#include "util/table.hpp"
 
 namespace taskdrop {
 namespace {
 
 constexpr const char* kMagic = "taskdrop-online-snapshot";
-constexpr const char* kVersion = "v1";
+constexpr const char* kVersion = "v2";
 
 [[noreturn]] void bad(const std::string& what) {
   throw std::invalid_argument("snapshot: " + what);
@@ -30,12 +29,6 @@ void fnv_mix(std::uint64_t& hash, const T& value) {
     hash ^= byte;
     hash *= 1099511628211ull;
   }
-}
-
-const char* engagement_name(DropperEngagement engagement) {
-  return engagement == DropperEngagement::EveryMappingEvent
-             ? "every_mapping_event"
-             : "on_deadline_miss";
 }
 
 TaskState task_state_from_name(const std::string& name) {
@@ -98,9 +91,10 @@ Tick parse_time(const std::string& what, const std::string& text,
   return t;
 }
 
-bool parse_kv_bool(std::istringstream& in, const std::string& key) {
-  const long long value = parse_kv_ll(in, key);
-  if (value != 0 && value != 1) bad(key + " must be 0 or 1");
+/// A 0/1 field.
+bool parse_bit(const std::string& what, const std::string& text) {
+  const long long value = parse_spec_i64("snapshot: " + what, text);
+  if (value != 0 && value != 1) bad(what + " must be 0 or 1");
   return value != 0;
 }
 
@@ -118,6 +112,26 @@ void expect_line_done(std::istringstream& in) {
 
 void check(bool ok, const std::string& what) {
   if (!ok) bad(what);
+}
+
+/// Every key whose values differ between the two echoes, with both values.
+std::string echo_differences(const SpecMap& snapshotted, const SpecMap& echo) {
+  const auto rendered = [](const SpecMap& map, const std::string& key) {
+    const auto it = map.find(key);
+    return it == map.end() ? std::string("unset")
+                           : "'" + join_spec_list(it->second) + "'";
+  };
+  SpecMap both = snapshotted;  // for the union of the two key sets
+  both.insert(echo.begin(), echo.end());
+  std::string out;
+  for (const auto& entry : both) {
+    const std::string then = rendered(snapshotted, entry.first);
+    const std::string now = rendered(echo, entry.first);
+    if (then == now) continue;
+    out += (out.empty() ? "" : "; ") + entry.first + " " + then +
+           " in the snapshot, " + now + " here";
+  }
+  return out;
 }
 
 }  // namespace
@@ -141,19 +155,10 @@ std::uint64_t pet_fingerprint(const PetMatrix& pet) {
   return hash;
 }
 
-void OnlineScheduler::snapshot(std::ostream& out) const {
+void OnlineScheduler::snapshot(std::ostream& out, const SpecMap& echo) const {
   out << kMagic << ' ' << kVersion << '\n';
-  out << "config capacity=" << config_.queue_capacity
-      << " engagement=" << engagement_name(config_.engagement)
-      << " condition_running=" << (config_.condition_running ? 1 : 0)
-      << " volatile_machines=" << (config_.volatile_machines ? 1 : 0)
-      << " approx_enabled=" << (config_.approx.enabled ? 1 : 0)
-      << " approx_time_factor=" << format_double(config_.approx.time_factor)
-      << " approx_utility_weight="
-      << format_double(config_.approx.utility_weight)
-      << " shed_total=" << config_.shed.total_pending_watermark
-      << " shed_machine=" << config_.shed.machine_backlog_watermark
-      << " pet=" << pet_fingerprint(state_.pet()) << '\n';
+  out << "config n=" << echo.size() << " pet=" << pet_fingerprint(state_.pet())
+      << '\n' << spec_to_text(echo);
   out << "clock now=" << state_.now() << '\n';
   out << "flags deadline_miss_pending=" << (deadline_miss_pending_ ? 1 : 0)
       << '\n';
@@ -191,7 +196,7 @@ void OnlineScheduler::snapshot(std::ostream& out) const {
   out << "end " << kMagic << '\n';
 }
 
-void OnlineScheduler::restore(std::istream& in) {
+void OnlineScheduler::restore(std::istream& in, const SpecMap& echo) {
   // Every callback but register_task runs a mapping event or needs one.
   check(state_.task_count() == 0 && mapping_events_ == 0,
         "restore target must be a freshly constructed scheduler");
@@ -206,46 +211,29 @@ void OnlineScheduler::restore(std::istream& in) {
     expect_line_done(line);
   }
 
-  // Config echo: a snapshot only restores into the identical kernel stack.
+  // Configuration echo and PET fingerprint: both must match this run's.
   {
     std::istringstream line(next_line(in, "config"));
     expect_literal(line, "config");
-    check(parse_kv_ll(line, "capacity") == config_.queue_capacity,
-          "queue capacity differs from the snapshotted config");
-    check(expect_kv(line, "engagement") ==
-              engagement_name(config_.engagement),
-          "dropper engagement differs from the snapshotted config");
-    check(parse_kv_bool(line, "condition_running") ==
-              config_.condition_running,
-          "condition_running differs from the snapshotted config");
-    check(parse_kv_bool(line, "volatile_machines") ==
-              config_.volatile_machines,
-          "volatile_machines differs from the snapshotted config");
-    check(parse_kv_bool(line, "approx_enabled") == config_.approx.enabled,
-          "approx extension differs from the snapshotted config");
-    // float-eq-ok: the echo is written with shortest-round-trip rendering,
-    // so bitwise equality is exactly the "same config" contract.
-    check(parse_spec_double("snapshot: approx_time_factor",
-                            expect_kv(line, "approx_time_factor")) ==
-              config_.approx.time_factor,
-          "approx time factor differs from the snapshotted config");
-    // float-eq-ok: same shortest-round-trip echo contract as above.
-    check(parse_spec_double("snapshot: approx_utility_weight",
-                            expect_kv(line, "approx_utility_weight")) ==
-              config_.approx.utility_weight,
-          "approx utility weight differs from the snapshotted config");
-    check(parse_kv_ll(line, "shed_total") ==
-              config_.shed.total_pending_watermark,
-          "shed total watermark differs from the snapshotted config");
-    check(parse_kv_ll(line, "shed_machine") ==
-              config_.shed.machine_backlog_watermark,
-          "shed machine watermark differs from the snapshotted config");
-    check(parse_spec_u64("snapshot: pet fingerprint",
-                         expect_kv(line, "pet")) ==
-              pet_fingerprint(state_.pet()),
+    const long long keys = parse_kv_ll(line, "n");
+    const std::string pet = expect_kv(line, "pet");
+    expect_line_done(line);
+    std::string text;
+    for (long long i = 0; i < keys; ++i) {
+      text += next_line(in, "config echo") + '\n';
+    }
+    SpecMap snapshotted;
+    try {
+      snapshotted = parse_spec_text(text);
+    } catch (const std::invalid_argument& error) {
+      bad(std::string("config echo: ") + error.what());
+    }
+    check(snapshotted == echo,
+          "configuration differs from the snapshotted one: " +
+              echo_differences(snapshotted, echo));
+    check(pet == std::to_string(pet_fingerprint(state_.pet())),
           "PET fingerprint differs — snapshot was taken against a "
           "different scenario");
-    expect_line_done(line);
   }
 
   Tick restored_now = 0;
@@ -258,7 +246,8 @@ void OnlineScheduler::restore(std::istream& in) {
   {
     std::istringstream line(next_line(in, "flags"));
     expect_literal(line, "flags");
-    deadline_miss_pending_ = parse_kv_bool(line, "deadline_miss_pending");
+    deadline_miss_pending_ = parse_bit(
+        "deadline_miss_pending", expect_kv(line, "deadline_miss_pending"));
     expect_line_done(line);
   }
   {
@@ -294,7 +283,7 @@ void OnlineScheduler::restore(std::istream& in) {
     const long long count = parse_kv_ll(line, "n");
     check(count >= 0, "negative task count");
     expect_line_done(line);
-    tasks.reserve(static_cast<std::size_t>(count));
+    // Grows per line read: an edited count sizes no allocation.
     for (long long i = 0; i < count; ++i) {
       std::istringstream task_line(next_line(in, "task table"));
       expect_literal(task_line, "T");
@@ -310,9 +299,8 @@ void OnlineScheduler::restore(std::istream& in) {
           parse_time("deadline", next_token(task_line, "deadline"),
                      -SystemState::kTimeHorizon);
       task.state = task_state_from_name(next_token(task_line, "task state"));
-      const long long approx = next_int(task_line, "approx flag");
-      check(approx == 0 || approx == 1, "approx flag must be 0 or 1");
-      task.approximate = approx != 0;
+      task.approximate =
+          parse_bit("approx flag", next_token(task_line, "approx flag"));
       task.machine =
           static_cast<MachineId>(next_int(task_line, "task machine"));
       check(task.machine >= -1 &&
@@ -326,6 +314,16 @@ void OnlineScheduler::restore(std::istream& in) {
       tasks.push_back(task);
     }
   }
+
+  // Each task id sits in at most one queue slot or batch entry.
+  std::vector<bool> placed(tasks.size(), false);
+  const auto place = [&](TaskId id, const std::string& what) -> const Task& {
+    check(id >= 0 && id < static_cast<TaskId>(tasks.size()) &&
+              !placed[static_cast<std::size_t>(id)],
+          what + " out of range or listed twice");
+    placed[static_cast<std::size_t>(id)] = true;
+    return tasks[static_cast<std::size_t>(id)];
+  };
 
   // Machines.
   {
@@ -343,12 +341,9 @@ void OnlineScheduler::restore(std::istream& in) {
             "machine ids must be dense and ascending");
       check(next_int(machine_line, "machine type") == machine.type,
             "machine type differs from the constructed fleet");
-      const long long up = next_int(machine_line, "up");
-      const long long running = next_int(machine_line, "running");
-      check((up == 0 || up == 1) && (running == 0 || running == 1),
-            "up/running flags must be 0 or 1");
-      machine.up = up != 0;
-      machine.running = running != 0;
+      machine.up = parse_bit("up", next_token(machine_line, "up"));
+      machine.running =
+          parse_bit("running", next_token(machine_line, "running"));
       machine.run_start =
           parse_time("run_start", next_token(machine_line, "run_start"), 0);
       machine.run_end = next_int(machine_line, "run_end");
@@ -366,9 +361,7 @@ void OnlineScheduler::restore(std::istream& in) {
       machine.queue.clear();
       for (long long k = 0; k < queued; ++k) {
         const TaskId id = next_int(machine_line, "queued task id");
-        check(id >= 0 && id < static_cast<TaskId>(tasks.size()),
-              "queued task id out of range");
-        const Task& task = tasks[static_cast<std::size_t>(id)];
+        const Task& task = place(id, "queued task id");
         check(task.machine == machine.id,
               "queued task does not reference its machine");
         check(task.state == (machine.running && k == 0 ? TaskState::Running
@@ -391,9 +384,7 @@ void OnlineScheduler::restore(std::istream& in) {
           "batch size out of range");
     for (long long i = 0; i < count; ++i) {
       const TaskId id = next_int(line, "batch task id");
-      check(id >= 0 && id < static_cast<TaskId>(tasks.size()),
-            "batch task id out of range");
-      check(tasks[static_cast<std::size_t>(id)].state == TaskState::Unmapped,
+      check(place(id, "batch task id").state == TaskState::Unmapped,
             "batch task is not in state unmapped");
       batch.push_back(id);
     }
@@ -413,16 +404,17 @@ void OnlineScheduler::restore(std::istream& in) {
   state_.restore(std::move(tasks), machines, batch, restored_now);
 }
 
-std::string snapshot_to_string(const OnlineScheduler& scheduler) {
+std::string snapshot_to_string(const OnlineScheduler& scheduler,
+                               const SpecMap& echo) {
   std::ostringstream out;
-  scheduler.snapshot(out);
+  scheduler.snapshot(out, echo);
   return out.str();
 }
 
 void restore_from_string(OnlineScheduler& scheduler,
-                         const std::string& snapshot) {
+                         const std::string& snapshot, const SpecMap& echo) {
   std::istringstream in(snapshot);
-  scheduler.restore(in);
+  scheduler.restore(in, echo);
 }
 
 }  // namespace taskdrop

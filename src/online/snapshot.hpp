@@ -17,8 +17,9 @@ namespace taskdrop {
 ///
 /// Format (one record per line, space-separated tokens, '\n' line ends):
 ///
-///   taskdrop-online-snapshot v1
-///   config capacity=.. engagement=.. condition_running=.. ... pet=<hex>
+///   taskdrop-online-snapshot v2
+///   config n=<K> pet=<fingerprint>
+///   <key> = <value>                               (K lines, spec_to_text)
 ///   clock now=<tick>
 ///   flags deadline_miss_pending=<0|1>
 ///   counters mapping_events=.. dropper_invocations=.. shed=..
@@ -32,18 +33,19 @@ namespace taskdrop {
 ///   batch n=<K> <ids in arrival order...>
 ///   end taskdrop-online-snapshot
 ///
-/// What is serialized is exactly the *logical* state: the task table,
-/// machine queues and execution status, the batch queue (arrival order),
-/// the advisory-offer latches, the clock, the deadline-miss latch, the
-/// event counters, the mapper's cross-event state, and an echo of the
-/// construction-time config (including a content fingerprint of the PET)
-/// that restore() validates so a snapshot cannot be silently replayed
-/// against a different scenario. Completion chains, CDF views and every
-/// revision-keyed memo are *derived* state and deliberately not
-/// serialized: rebuilding them from the logical state is bit-identical to
-/// the incrementally maintained originals (the chain-vs-rebuild lockdown
-/// suite), and the droppers' examined-revision skips are pure
-/// optimisations whose re-examination reproduces the identical decisions.
+/// What is serialized is exactly the *logical* state: the task table, machine
+/// queues and execution status, the batch queue (arrival order), the
+/// advisory-offer latches, the clock, the deadline-miss latch, the event
+/// counters and the mapper's cross-event state, beside a PET content
+/// fingerprint and the driver's configuration echo (serve: the cell's spec map
+/// without `name` and the trial-only keys, plus the shed watermarks). restore()
+/// refuses any other echo or PET, and any v1 snapshot, whose echo held neither
+/// the dropper nor the candidate window. Completion chains, CDF views and every
+/// revision-keyed memo are *derived* state and deliberately not serialized:
+/// rebuilding them from the logical state is bit-identical to the incrementally
+/// maintained originals (the chain-vs-rebuild lockdown suite), and the
+/// droppers' examined-revision skips are pure optimisations whose
+/// re-examination reproduces the identical decisions.
 ///
 /// snapshot()/restore() live on OnlineScheduler (implemented in
 /// snapshot.cpp); the helpers here are the string conveniences and the
@@ -56,8 +58,9 @@ namespace taskdrop {
 std::uint64_t pet_fingerprint(const PetMatrix& pet);
 
 /// Convenience: snapshot to / restore from a string.
-std::string snapshot_to_string(const OnlineScheduler& scheduler);
+std::string snapshot_to_string(const OnlineScheduler& scheduler,
+                               const SpecMap& echo);
 void restore_from_string(OnlineScheduler& scheduler,
-                         const std::string& snapshot);
+                         const std::string& snapshot, const SpecMap& echo);
 
 }  // namespace taskdrop

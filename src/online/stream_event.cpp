@@ -111,4 +111,23 @@ StreamEvent parse_stream_event(std::string_view line) {
   return event;
 }
 
+const std::vector<Decision>& apply_stream_event(OnlineScheduler& scheduler,
+                                                const StreamEvent& event) {
+  using Kind = StreamEvent::Kind;
+  const Tick t = event.t;
+  const std::vector<Decision>& decisions =
+      event.kind == Kind::Arrive   ? scheduler.task_arrived(t, event.a, event.b)
+      : event.kind == Kind::Finish ? scheduler.task_finished(t, event.a)
+      : event.kind == Kind::Down   ? scheduler.machine_down(t, event.a)
+      : event.kind == Kind::Up     ? scheduler.machine_up(t, event.a)
+                                   : scheduler.advance(t);
+  // A start emits no decisions, so the list stays valid while they run.
+  for (const Decision& decision : decisions) {
+    if (decision.kind == DecisionKind::Start) {
+      scheduler.task_started(t, decision.machine, decision.task);
+    }
+  }
+  return decisions;
+}
+
 }  // namespace taskdrop

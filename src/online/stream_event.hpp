@@ -1,7 +1,9 @@
 #pragma once
 
 #include <string_view>
+#include <vector>
 
+#include "online/online_scheduler.hpp"
 #include "util/time_types.hpp"
 
 namespace taskdrop {
@@ -36,5 +38,12 @@ bool is_blank_or_comment(std::string_view line);
 /// std::invalid_argument naming the token that failed; the caller prefixes
 /// the line number. An accepted line allocates nothing.
 StreamEvent parse_stream_event(std::string_view line);
+
+/// One step of `taskdrop_cli serve`: feeds `event` to its scheduler
+/// callback, confirms every Start it returned at the event's time (live
+/// mode), and returns its decisions, valid until the next callback that
+/// returns decisions. A rejected event throws std::invalid_argument.
+const std::vector<Decision>& apply_stream_event(OnlineScheduler& scheduler,
+                                                const StreamEvent& event);
 
 }  // namespace taskdrop

@@ -31,7 +31,6 @@ OnlineConfig EngineConfig::online_config() const {
   online.queue_capacity = queue_capacity;
   online.engagement = engagement;
   online.condition_running = condition_running;
-  online.volatile_machines = failures.enabled;
   online.paranoid_invalidate = paranoid_invalidate;
   online.approx = approx;
   return online;

@@ -52,8 +52,7 @@ struct EngineConfig {
   FailureModel failures;
   ApproxModel approx;
 
-  /// The OnlineConfig the engine hands its scheduler: the same knobs, with
-  /// volatile machines exactly when failures are injected.
+  /// The OnlineConfig the engine hands its scheduler: the same knobs.
   OnlineConfig online_config() const;
 };
 

@@ -155,8 +155,8 @@ TEST(FailureInjection, ProactiveDroppingStillHelpsUnderFailures) {
 }
 
 TEST(FailureInjection, ChainKeepDecisionsBitIdenticalToParanoidInvalidate) {
-  // The chain-keep fast paths (notify_head_started on starts under
-  // volatile_machines, the conditioned set_now keep) are pure cache
+  // The chain-keep fast paths (notify_head_started on starts in a failing
+  // fleet, the conditioned set_now keep) are pure cache
   // optimisations: against the paranoid invalidate-and-rebuild scheduler
   // they must produce the same SimResult bit for bit, failures included.
   for (const bool conditioned : {false, true}) {

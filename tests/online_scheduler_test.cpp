@@ -121,9 +121,7 @@ TEST(OnlineScheduler, UnmappedTaskExpiresViaAdvance) {
 }
 
 TEST(OnlineScheduler, MachineDownKillsRunAndUpResumesQueue) {
-  OnlineConfig config;
-  config.volatile_machines = true;
-  LiveFixture fx(2, config);
+  LiveFixture fx(2);
   fx.scheduler.task_arrived(0, 0, 1000);
   fx.scheduler.task_started(0, 0, 0);
   fx.scheduler.task_arrived(1, 0, 1000);

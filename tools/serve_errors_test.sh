@@ -16,7 +16,7 @@ cli=${1:?usage: serve_errors_test.sh <taskdrop_cli>}
 tmp_dir=$(mktemp -d)
 trap 'rm -rf "$tmp_dir"' EXIT
 
-serve_args=(--scenario=spec_hc --mapper=PAM --dropper=heuristic --volatile)
+serve_args=(--scenario=spec_hc --mapper=PAM --dropper=heuristic)
 fails=0
 
 fail() {

@@ -3,7 +3,8 @@
 # snapshot the daemon, restore the snapshot into a brand-new process, feed
 # it the remainder, and require the two decision logs concatenated to be
 # byte-identical to the uninterrupted run's committed golden — the
-# survivability contract of the online admission service.
+# survivability contract of the online admission service. A restore under
+# any other configuration must exit 1 naming the key that differs.
 #
 #   tools/serve_resume_smoke.sh <taskdrop_cli> <events.stream> <decisions.golden>
 set -euo pipefail
@@ -23,23 +24,44 @@ half=$((total / 2))
 head -n "$half" "$stream" > "$tmp_dir/part1.stream"
 tail -n +"$((half + 1))" "$stream" > "$tmp_dir/part2.stream"
 
-serve_args=(--scenario=spec_hc --mapper=PAM --dropper=heuristic --volatile)
+serve_args=(--scenario=spec_hc --mapper=PAM --dropper=heuristic)
 
 "$cli" serve "${serve_args[@]}" --stream="$tmp_dir/part1.stream" \
     --out="$tmp_dir/dec1.log" --stats-out="$tmp_dir/stats1.txt" \
     --snapshot-out="$tmp_dir/snapshot.txt"
-"$cli" serve "${serve_args[@]}" --stream="$tmp_dir/part2.stream" \
-    --out="$tmp_dir/dec2.log" --stats-out="$tmp_dir/stats2.txt" \
-    --restore="$tmp_dir/snapshot.txt"
 
-cat "$tmp_dir/dec1.log" "$tmp_dir/dec2.log" > "$tmp_dir/resumed.log"
-diff "$golden" "$tmp_dir/resumed.log"
+# restore_half [flag...]: serves the second half from the snapshot, with
+# its decision log in dec2.log.
+restore_half() {
+  "$cli" serve "${serve_args[@]}" --stream="$tmp_dir/part2.stream" \
+      --out="$tmp_dir/dec2.log" --stats-out=/dev/null \
+      --restore="$tmp_dir/snapshot.txt" "$@"
+}
+# The resumed log equals the golden; the spec's name and serve options
+# outside the snapshot's configuration echo do not count.
+printf 'name = renamed\n' > "$tmp_dir/renamed.sweep"
+for extra in --on-error=abort --spec="$tmp_dir/renamed.sweep" \
+    --on-error=skip; do
+  restore_half "$extra"
+  cat "$tmp_dir/dec1.log" "$tmp_dir/dec2.log" | diff "$golden" -
+done
 
 # The snapshot must also restore-and-resnapshot to identical bytes.
-"$cli" serve "${serve_args[@]}" --stream=/dev/null \
-    --out=/dev/null --stats-out=/dev/null \
-    --restore="$tmp_dir/snapshot.txt" --snapshot-out="$tmp_dir/snapshot2.txt"
+restore_half --stream=/dev/null --snapshot-out="$tmp_dir/snapshot2.txt"
 diff "$tmp_dir/snapshot.txt" "$tmp_dir/snapshot2.txt"
+
+# The echo holds the cell's spec keys and the shed watermarks: change any
+# one and the restore exits 1 naming it.
+for change in --scenario=video --mapper=MM --dropper=reactive \
+    --dropper=threshold --dropper=optimal --eta=5 --beta=3 \
+    --candidate_window=2 --capacity=5 --engagement=on-deadline-miss \
+    --conditioning=1 --approx=1 --seed=3 --shed-watermark=4 \
+    --shed-machine-backlog=4; do
+  key=${change%%=*} status=0
+  restore_half "$change" 2> "$tmp_dir/err.txt" || status=$?
+  ((status == 1)) && grep -qE "[:;] ${key#--} ('|unset)" "$tmp_dir/err.txt" ||
+      { echo "$change: exit $status, $(cat "$tmp_dir/err.txt")" >&2; exit 1; }
+done
 
 # --- Periodic checkpoints + a genuine mid-stream SIGKILL. ---------------
 # Feed exactly `every` effective events (blank/comment lines do not count)

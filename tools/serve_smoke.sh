@@ -18,20 +18,20 @@ tmp_dir=$(mktemp -d)
 trap 'rm -rf "$tmp_dir"' EXIT
 
 "$cli" serve --scenario=spec_hc --mapper=PAM --dropper=heuristic \
-    --volatile --stream="$stream" --out="$tmp_dir/decisions.log" \
+    --stream="$stream" --out="$tmp_dir/decisions.log" \
     --stats-out="$tmp_dir/stats.txt"
 diff "$golden" "$tmp_dir/decisions.log"
 cat "$tmp_dir/stats.txt"
 
 "$cli" serve --scenario=spec_hc --mapper=PAM --dropper=heuristic \
-    --volatile < "$stream" > "$tmp_dir/stdout.log" 2> "$tmp_dir/stderr.txt"
+    < "$stream" > "$tmp_dir/stdout.log" 2> "$tmp_dir/stderr.txt"
 diff "$golden" "$tmp_dir/stdout.log"
 
 # Inline spec-key flags override the --spec file: the file's MM must give
 # way to --mapper=PAM, or the log could not match the golden.
 printf 'scenario = spec_hc\nmapper = MM\ndropper = heuristic\n' \
     > "$tmp_dir/one_cell.sweep"
-"$cli" serve --spec="$tmp_dir/one_cell.sweep" --mapper=PAM --volatile \
+"$cli" serve --spec="$tmp_dir/one_cell.sweep" --mapper=PAM \
     --stream="$stream" --out="$tmp_dir/spec.log" \
     --stats-out="$tmp_dir/spec_stats.txt"
 diff "$golden" "$tmp_dir/spec.log"

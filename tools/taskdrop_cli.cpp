@@ -55,7 +55,7 @@
      taskdrop_cli serve --scenario=spec_hc --mapper=PAM --dropper=heuristic \
                   [--capacity=6] [--seed=42] [--engagement=on-deadline-miss] \
                   [--conditioning=1] [--approx=1] [--spec=one_cell.sweep] \
-                  [--volatile] [--shed-watermark=N] [--shed-machine-backlog=N] \
+                  [--shed-watermark=N] [--shed-machine-backlog=N] \
                   [--on-error=abort|skip] [--restore=snap.txt] \
                   [--snapshot-out=snap.txt] [--snapshot-every=N] \
                   [--stream=events.stream] \
@@ -99,8 +99,8 @@
                                  mid-stream resumes from the last
                                  checkpoint via --restore
      --restore=F                 restore a snapshot before reading the
-                                 stream (same scenario/mapper/dropper
-                                 flags required; validated). A daemon
+                                 stream (another spec key or watermark
+                                 value exits 1 naming it). A daemon
                                  killed mid-stream and restored continues
                                  with a byte-identical decision stream.
 
@@ -128,7 +128,7 @@
 #include "exp/lease.hpp"
 #include "exp/sweep.hpp"
 #include "metrics/report.hpp"
-#include "online/online_scheduler.hpp"
+#include "online/snapshot.hpp"
 #include "online/stream_event.hpp"
 #include "util/atomic_file.hpp"
 #include "util/flags.hpp"
@@ -446,9 +446,8 @@ int nonnegative_int_flag(const Flags& flags, const char* name) {
 int run_serve_command(const Flags& flags) {
   const SpecMap map = resolve_spec_map(
       "serve", flags,
-      {"volatile", "stream", "out", "stats-out", "shed-watermark",
-       "shed-machine-backlog", "on-error", "snapshot-out", "snapshot-every",
-       "restore"});
+      {"stream", "out", "stats-out", "shed-watermark", "shed-machine-backlog",
+       "on-error", "snapshot-out", "snapshot-every", "restore"});
   // The event stream brings the tasks: keys that only shape generated
   // trials would configure nothing.
   static const std::vector<std::string> kTrialKeys = {
@@ -462,8 +461,8 @@ int run_serve_command(const Flags& flags) {
           join_spec_list(kTrialKeys) + ")");
     }
   }
-  const ExperimentConfig cell =
-      single_config("serve", SweepSpec::from_map(map));
+  const SweepSpec spec = SweepSpec::from_map(map);
+  const ExperimentConfig cell = single_config("serve", spec);
 
   const std::string on_error = flags.get("on-error", "abort");
   if (on_error != "abort" && on_error != "skip") {
@@ -486,13 +485,21 @@ int run_serve_command(const Flags& flags) {
   auto mapper = make_mapper(cell.mapper, cell.candidate_window);
   auto dropper = make_dropper(cell.dropper);
   OnlineConfig config = cell.engine_config(0).online_config();
-  config.volatile_machines = flags.get_bool("volatile");
   config.shed.total_pending_watermark =
       nonnegative_int_flag(flags, "shed-watermark");
   config.shed.machine_backlog_watermark =
       nonnegative_int_flag(flags, "shed-machine-backlog");
   OnlineScheduler scheduler(scenario.pet, scenario.profile.machine_types,
                             *mapper, *dropper, config);
+  // What a snapshot carries and a restore must match: the cell's spec map
+  // without its name and the trial-only keys, plus the shed watermarks.
+  SpecMap echo = spec.to_map();
+  echo.erase("name");
+  for (const std::string& key : kTrialKeys) echo.erase(key);
+  echo["shed-watermark"] = {
+      std::to_string(config.shed.total_pending_watermark)};
+  echo["shed-machine-backlog"] = {
+      std::to_string(config.shed.machine_backlog_watermark)};
 
   // Resurrect a snapshotted daemon before touching the stream: the restored
   // scheduler continues exactly where the snapshotted one stopped, so
@@ -503,7 +510,7 @@ int run_serve_command(const Flags& flags) {
     if (!snapshot_in) {
       throw std::runtime_error("cannot read " + flags.get("restore", ""));
     }
-    scheduler.restore(snapshot_in);
+    scheduler.restore(snapshot_in, echo);
   }
 
   std::ifstream stream_file;
@@ -533,19 +540,6 @@ int run_serve_command(const Flags& flags) {
     }
     stats = &stats_file;
   }
-
-  // The daemon plays the environment side of the callback contract: every
-  // Start recommendation is confirmed immediately (live mode, no
-  // ground-truth duration), so machines are running from the decision's
-  // own timestamp on.
-  const auto confirm_starts = [&](Tick t,
-                                  const std::vector<Decision>& decisions) {
-    for (const Decision& decision : decisions) {
-      if (decision.kind == DecisionKind::Start) {
-        scheduler.task_started(t, decision.machine, decision.task);
-      }
-    }
-  };
 
   using Clock = std::chrono::steady_clock;
   // One latency sample per stream event — bounded: a long-running daemon
@@ -577,34 +571,17 @@ int run_serve_command(const Flags& flags) {
         // confirmations); log I/O happens outside the clock so the latency
         // percentiles describe the admission service, not the disk.
         const Clock::time_point begin = Clock::now();
-        const std::vector<Decision>* decisions = nullptr;
-        switch (event.kind) {
-          case StreamEvent::Kind::Arrive:
-            decisions = &scheduler.task_arrived(event.t, event.a, event.b);
-            ++arrivals;
-            break;
-          case StreamEvent::Kind::Finish:
-            decisions = &scheduler.task_finished(event.t, event.a);
-            break;
-          case StreamEvent::Kind::Down:
-            decisions = &scheduler.machine_down(event.t, event.a);
-            break;
-          case StreamEvent::Kind::Up:
-            decisions = &scheduler.machine_up(event.t, event.a);
-            break;
-          case StreamEvent::Kind::Advance:
-            decisions = &scheduler.advance(event.t);
-            break;
-        }
-        confirm_starts(event.t, *decisions);
+        const std::vector<Decision>& decisions =
+            apply_stream_event(scheduler, event);
         const Clock::time_point end = Clock::now();
 
+        if (event.kind == StreamEvent::Kind::Arrive) ++arrivals;
         ++events_seen;
         latency_ns.add(static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
                 .count()));
         records.clear();
-        for (const Decision& decision : *decisions) {
+        for (const Decision& decision : decisions) {
           ++decisions_out;
           switch (decision.kind) {
             case DecisionKind::DropProactive: ++drops_proactive; break;
@@ -627,9 +604,8 @@ int run_serve_command(const Flags& flags) {
         // the previous snapshot intact.
         if (snapshot_every > 0 && events_seen % snapshot_every == 0) {
           out->flush();
-          std::ostringstream snap;
-          scheduler.snapshot(snap);
-          atomic_write_file(flags.get("snapshot-out", ""), snap.str());
+          atomic_write_file(flags.get("snapshot-out", ""),
+                            snapshot_to_string(scheduler, echo));
         }
       } catch (const std::exception& error) {
         if (!skip_bad_lines) {
@@ -655,9 +631,8 @@ int run_serve_command(const Flags& flags) {
   // Clean shutdown only: a snapshot taken mid-error would freeze a clock
   // the operator does not know the position of.
   if (!teardown_error && flags.has("snapshot-out")) {
-    std::ostringstream snap;
-    scheduler.snapshot(snap);
-    atomic_write_file(flags.get("snapshot-out", ""), snap.str());
+    atomic_write_file(flags.get("snapshot-out", ""),
+                      snapshot_to_string(scheduler, echo));
   }
 
   const double kernel_ns = latency_ns.total();
