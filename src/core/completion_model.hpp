@@ -75,7 +75,8 @@ class CompletionModel {
                   PmfWorkspace* workspace = nullptr);
 
   /// Must be called whenever simulated time advances (the idle-machine base
-  /// PMF and the conditioned running PMF depend on `now`).
+  /// PMF and the conditioned running PMF depend on `now`). The base is
+  /// rebuilt lazily, on its first read after the clock moved.
   void set_now(Tick now);
 
   /// Invalidates cached completion PMFs from queue position `pos` on.
@@ -251,6 +252,11 @@ class CompletionModel {
   };
 
   const Pmf& exec_pmf(std::size_t pos) const;
+  /// base_, rebuilt as delta(now_) on the first read after the clock
+  /// moved: set_now only marks it stale, so a clock move costs nothing
+  /// until a reader (the idle slot 0, predecessor(0), tail(), an appended
+  /// slot on an empty queue, the audit reference) asks for it.
+  const Pmf& base();
   void ensure(std::size_t pos);
   void compute_running_completion(Pmf& out);
   /// TASKDROP_AUDIT cross-check (sampled from ensure): recompute the chain
@@ -286,9 +292,12 @@ class CompletionModel {
   /// both unchanged. Degenerate point masses keep forever (Tick max).
   Tick cond_keep_below_ = 0;
 
-  /// delta(now_): the idle machine's start-availability distribution. Kept
-  /// materialised so predecessor()/ensure() never build temporaries.
+  /// delta(now_): the idle machine's start-availability distribution, read
+  /// only through base(). Kept materialised so predecessor()/ensure()
+  /// never build temporaries.
   Pmf base_;
+  /// set_now moved the clock since base_ was last built.
+  bool base_stale_ = true;
   /// Scratch delta for the running task's start time.
   Pmf start_;
 

@@ -147,31 +147,14 @@ const std::vector<Decision>& OnlineScheduler::advance(Tick t) {
   return mapping_event();
 }
 
-bool OnlineScheduler::reactive_drop_pass() {
-  bool any = false;
-  const Tick now = state_.now();
-  for (const Machine& machine : state_.machines()) {
-    std::size_t pos = machine.first_pending_pos();
-    while (pos < machine.queue.size()) {
-      if (now >= state_.task(machine.queue[pos]).deadline) {
-        state_.drop_reactive(machine.id, pos);
-        any = true;
-      } else {
-        ++pos;
-      }
-    }
-  }
-  // Unmapped tasks whose deadlines passed can never start in time either.
-  if (state_.expire_unmapped()) any = true;
-  return any;
-}
-
 const std::vector<Decision>& OnlineScheduler::mapping_event() {
   ++mapping_events_;
   bool miss_noticed = deadline_miss_pending_;
   deadline_miss_pending_ = false;
-  // Step 2 of Fig. 4: reactive drops come first.
-  miss_noticed |= reactive_drop_pass();
+  // Step 2 of Fig. 4: reactive drops come first, of queued tasks and of
+  // unmapped tasks, which can never start in time either.
+  miss_noticed |= state_.expire_pending();
+  miss_noticed |= state_.expire_unmapped();
 
   if (config_.engagement == DropperEngagement::EveryMappingEvent ||
       miss_noticed) {

@@ -247,9 +247,6 @@ class OnlineScheduler final {
   bool should_shed() const;
   /// Runs the Fig. 4 steps; returns the event's decision stream.
   const std::vector<Decision>& mapping_event();
-  /// Drops expired pending tasks (machine queues and batch queue); returns
-  /// true when at least one task was dropped.
-  bool reactive_drop_pass();
   /// End of the mapping event: reactively drop late queue heads, then
   /// offer a Start for every up, idle machine with a startable head.
   void start_pass();

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -72,6 +73,19 @@ std::string expect_kv(std::istringstream& in, const std::string& key) {
 /// parse as spec values do (util/spec_parser), with the field named.
 long long next_int(std::istringstream& in, const std::string& what) {
   return parse_spec_i64("snapshot: " + what, next_token(in, what));
+}
+
+/// next_int for a field narrower than 64 bits: the value must lie in
+/// [lowest, highest], checked before the caller narrows it, so an
+/// out-of-range value cannot wrap onto a valid one.
+long long next_int_in(std::istringstream& in, const std::string& what,
+                      long long lowest, long long highest) {
+  const long long value = next_int(in, what);
+  if (value < lowest || value > highest) {
+    bad(what + " " + std::to_string(value) + " out of range [" +
+        std::to_string(lowest) + ", " + std::to_string(highest) + "]");
+  }
+  return value;
 }
 
 long long parse_kv_ll(std::istringstream& in, const std::string& key) {
@@ -290,9 +304,9 @@ void OnlineScheduler::restore(std::istream& in, const SpecMap& echo) {
       Task task;
       task.id = next_int(task_line, "task id");
       check(task.id == i, "task ids must be dense and ascending");
-      task.type = static_cast<TaskTypeId>(next_int(task_line, "task type"));
-      check(task.type >= 0 && task.type < state_.pet().task_type_count(),
-            "task type out of range for this PET");
+      task.type = static_cast<TaskTypeId>(
+          next_int_in(task_line, "task type", 0,
+                      state_.pet().task_type_count() - 1));
       task.arrival =
           parse_time("arrival", next_token(task_line, "arrival"), 0);
       task.deadline =
@@ -301,11 +315,9 @@ void OnlineScheduler::restore(std::istream& in, const SpecMap& echo) {
       task.state = task_state_from_name(next_token(task_line, "task state"));
       task.approximate =
           parse_bit("approx flag", next_token(task_line, "approx flag"));
-      task.machine =
-          static_cast<MachineId>(next_int(task_line, "task machine"));
-      check(task.machine >= -1 &&
-                task.machine < static_cast<MachineId>(machines.size()),
-            "task machine out of range");
+      task.machine = static_cast<MachineId>(
+          next_int_in(task_line, "task machine", -1,
+                      static_cast<long long>(machines.size()) - 1));
       task.start_time = next_int(task_line, "start time");
       task.finish_time = next_int(task_line, "finish time");
       task.drop_time = next_int(task_line, "drop time");
@@ -348,7 +360,8 @@ void OnlineScheduler::restore(std::istream& in, const SpecMap& echo) {
           parse_time("run_start", next_token(machine_line, "run_start"), 0);
       machine.run_end = next_int(machine_line, "run_end");
       machine.run_token = static_cast<std::uint32_t>(
-          next_int(machine_line, "run_token"));
+          next_int_in(machine_line, "run_token", 0,
+                      std::numeric_limits<std::uint32_t>::max()));
       machine.busy_ticks = next_int(machine_line, "busy_ticks");
       const TaskId offer = next_int(machine_line, "start offer");
       check(offer >= -1 && offer < static_cast<TaskId>(tasks.size()),

@@ -1,5 +1,7 @@
 #include "online/system_state.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -51,6 +53,7 @@ SystemState::SystemState(const PetMatrix& pet,
     machines_.emplace_back(static_cast<MachineId>(m), machine_types[m],
                            queue_capacity);
   }
+  pending_bound_.assign(machines_.size(), kNeverTick);
   models_.reserve(machines_.size());
   for (Machine& machine : machines_) {
     models_.emplace_back(&pet_, &machine, &tasks_, model_options, &model_ws_);
@@ -293,6 +296,31 @@ void SystemState::drop_late_head(MachineId machine_id) {
   models_[static_cast<std::size_t>(machine_id)].invalidate_all();
 }
 
+bool SystemState::expire_pending() {
+  if (audit::due(audit_bound_counter_)) audit_pending_bounds();
+  bool any = false;
+  for (Machine& machine : machines_) {
+    Tick& bound = pending_bound_[static_cast<std::size_t>(machine.id)];
+    // Every pending deadline is at or above the bound: nothing is due.
+    if (bound > now_) continue;
+    Tick earliest = kNeverTick;
+    std::size_t pos = machine.first_pending_pos();
+    while (pos < machine.queue.size()) {
+      const Tick deadline =
+          tasks_[static_cast<std::size_t>(machine.queue[pos])].deadline;
+      if (now_ >= deadline) {
+        drop_pending(machine.id, pos, DecisionKind::DropReactive);
+        any = true;
+      } else {
+        earliest = std::min(earliest, deadline);
+        ++pos;
+      }
+    }
+    bound = earliest;
+  }
+  return any;
+}
+
 bool SystemState::expire_unmapped() {
   // The expiry heap hands expired tasks over directly; entries whose task
   // was assigned (and so left the batch) in the meantime are skipped.
@@ -336,6 +364,8 @@ void SystemState::append(Machine& machine, Task& task) {
   task.state = TaskState::Queued;
   task.machine = machine.id;
   machine.enqueue(task.id);
+  Tick& bound = pending_bound_[static_cast<std::size_t>(machine.id)];
+  bound = std::min(bound, task.deadline);
   models_[static_cast<std::size_t>(machine.id)].invalidate_from(
       machine.queue.size() - 1);
 }
@@ -389,6 +419,9 @@ void SystemState::restore(std::vector<Task> tasks,
   }
   set_now(now);
   for (CompletionModel& model : models_) model.invalidate_all();
+  // Below every time the clock can read: the next expire_pending scans
+  // every machine and sets each bound from the restored queues.
+  pending_bound_.assign(machines_.size(), std::numeric_limits<Tick>::min());
 }
 
 void SystemState::emit(DecisionKind kind, TaskId task, MachineId machine) {
@@ -428,6 +461,23 @@ void SystemState::audit_batch_coherence() const {
   }
   if (!batch_expiry_.is_heap()) {
     audit::fail("expiry heap lost the heap property");
+  }
+}
+
+void SystemState::audit_pending_bounds() const {
+  for (const Machine& machine : machines_) {
+    const Tick bound = pending_bound_[static_cast<std::size_t>(machine.id)];
+    for (std::size_t pos = machine.first_pending_pos();
+         pos < machine.queue.size(); ++pos) {
+      const Task& task = tasks_[static_cast<std::size_t>(machine.queue[pos])];
+      if (task.deadline < bound) {
+        audit::fail("machine " + std::to_string(machine.id) +
+                    "'s pending-deadline bound " + std::to_string(bound) +
+                    " is above the deadline " + std::to_string(task.deadline) +
+                    " of its pending task " + std::to_string(task.id) +
+                    " — it could expire unnoticed");
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -164,11 +165,12 @@ class SystemState final : public SchedulerOps {
 
   // --- Drops inside a mapping event --------------------------------------
 
-  /// Reactive drop of the pending task at `pos` (the caller found its
-  /// deadline passed).
-  void drop_reactive(MachineId machine, std::size_t pos) {
-    drop_pending(machine, pos, DecisionKind::DropReactive);
-  }
+  /// Drops every pending task whose deadline is at or before now()
+  /// (DropReactive, machine ascending, then queue position). True when any
+  /// expired. A machine whose pending-deadline bound is above now() holds
+  /// nothing due and is skipped; any other machine is scanned in full and
+  /// its bound tightened to the earliest deadline that survived.
+  bool expire_pending();
   /// Reactive drop of an idle machine's queue head, which reached its
   /// deadline before it could start.
   void drop_late_head(MachineId machine);
@@ -204,8 +206,9 @@ class SystemState final : public SchedulerOps {
 
   /// Snapshot restore: replaces the task table, the machines (one per
   /// fleet machine) and the batch (arrival order), then re-roots every
-  /// model at `now`. The caller has validated the tables (times included:
-  /// see check_time).
+  /// model at `now` and resets every pending-deadline bound, so the next
+  /// expire_pending scans every machine. The caller has validated the
+  /// tables (times included: see check_time).
   void restore(std::vector<Task> tasks, const std::vector<Machine>& machines,
                const std::vector<TaskId>& batch, Tick now);
 
@@ -219,7 +222,8 @@ class SystemState final : public SchedulerOps {
   /// Drops the pending task at `pos` with `kind`: DropReactive or
   /// DropProactive.
   void drop_pending(MachineId machine, std::size_t pos, DecisionKind kind);
-  /// Queues `task` at the tail of `machine`.
+  /// Queues `task` at the tail of `machine`: the only way a pending task
+  /// enters a queue, so it lowers the machine's pending-deadline bound.
   void append(Machine& machine, Task& task);
   /// Puts a registered task in the batch queue and its expiry heap.
   void push_batch(const Task& task);
@@ -229,6 +233,11 @@ class SystemState final : public SchedulerOps {
   /// queue popped, chain invalidated. Returns the task.
   Task& end_run(Machine& machine);
   void emit(DecisionKind kind, TaskId task, MachineId machine);
+  /// TASKDROP_AUDIT cross-check, run by expire_pending on its own sampling
+  /// counter: every machine's pending-deadline bound is at most the
+  /// deadline of each of its pending tasks, so no machine with a task due
+  /// is skipped. Fails through audit::fail.
+  void audit_pending_bounds() const;
 
   const PetMatrix& pet_;
   Tick now_ = 0;
@@ -247,8 +256,16 @@ class SystemState final : public SchedulerOps {
   /// already left the batch are skipped on pop), so the reactive pass only
   /// ever touches tasks that actually expired.
   ExpiryHeap batch_expiry_;
+  /// Per machine, a lower bound on the deadlines of its pending tasks
+  /// (kNeverTick while it has none). append lowers it; removals and head
+  /// starts only take pending tasks away, so it stays a lower bound until
+  /// expire_pending rescans the machine and tightens it.
+  std::vector<Tick> pending_bound_;
   SystemView view_;
   std::vector<Decision> decisions_;
+  /// Sampling counter of the audit_pending_bounds pass (unused in normal
+  /// builds, where the audit gate folds to constant false).
+  std::uint64_t audit_bound_counter_ = 0;
 };
 
 }  // namespace taskdrop

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <stdexcept>
 #include <vector>
 
 #include "core/null_dropper.hpp"
 #include "core/proactive_heuristic_dropper.hpp"
 #include "sched/registry.hpp"
+#include "serve_harness.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace taskdrop {
 namespace {
@@ -491,6 +495,113 @@ TEST(OnlineScheduler, GeneralizesOverDynamicArrivalsWithoutRegistration) {
   EXPECT_GT(finishes, 0);
   EXPECT_EQ(scheduler.task_count(), 200u);
   EXPECT_EQ(scheduler.mapping_events(), 200 + finishes);
+}
+
+/// The reactive-pass property test's stack: a 4-machine fleet (types 0, 1,
+/// 0, 1) over a stochastic 2 x 2 PET.
+test::ServeStack random_fleet(const std::string& mapper_name,
+                              const DropperConfig& dropper_config,
+                              const OnlineConfig& config) {
+  return test::ServeStack(
+      pet_of({{{{3, 0.5}, {5, 0.5}}, {{6, 0.7}, {9, 0.3}}},
+              {{{4, 0.4}, {7, 0.6}}, {{2, 0.5}, {3, 0.5}}}}),
+      {0, 1, 0, 1}, mapper_name, dropper_config, config);
+}
+
+/// After a callback no pending task is due: every queued task that is not
+/// running, on any machine, and every unmapped task has a deadline after
+/// now().
+void expect_nothing_due(const OnlineScheduler& scheduler, std::size_t step) {
+  const Tick now = scheduler.now();
+  for (const Machine& machine : scheduler.machines()) {
+    for (std::size_t pos = machine.first_pending_pos();
+         pos < machine.queue.size(); ++pos) {
+      EXPECT_GT(scheduler.task(machine.queue[pos]).deadline, now)
+          << "step " << step << ": machine " << machine.id << " position "
+          << pos << " is due";
+    }
+  }
+  EXPECT_GT(scheduler.earliest_unmapped_deadline(), now)
+      << "step " << step << ": an unmapped task is due";
+}
+
+TEST(OnlineScheduler, RandomStreamsLeaveNothingDueAndResumeIdentically) {
+  // Seeded arrive/finish/advance/down/up streams, every Start confirmed at
+  // once (live mode), with deadlines tight enough that about a third of
+  // the tasks expire. After every callback no queued or unmapped task may
+  // be due, and a snapshot/restore into a fresh stack at a random event
+  // must leave the decision stream unchanged.
+  const char* const mappers[] = {"PAM", "MM", "FCFS"};
+  const DropperConfig droppers[] = {DropperConfig::reactive_only(),
+                                    DropperConfig::heuristic()};
+  constexpr int kSeeds = 40;
+  constexpr std::size_t kEvents = 4000;
+  long long arrivals = 0;
+  long long expired = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string mapper = mappers[seed % 3];
+    const DropperConfig dropper = droppers[seed % 2];
+    OnlineConfig config;
+    config.queue_capacity = 2 + seed % 5;
+
+    // Generate the stream against a probe stack, checking every callback.
+    Rng rng(static_cast<std::uint64_t>(seed));
+    const auto make = [&] { return random_fleet(mapper, dropper, config); };
+    auto probe = make();
+    std::vector<StreamEvent> script;
+    std::string log;
+    Tick t = 0;
+    for (std::size_t step = 0; step < kEvents; ++step) {
+      t += rng.uniform_int(0, 2);
+      std::vector<MachineId> running;
+      std::vector<MachineId> up;
+      std::vector<MachineId> down;
+      for (const Machine& machine : probe.scheduler.machines()) {
+        if (machine.running) running.push_back(machine.id);
+        (machine.up ? up : down).push_back(machine.id);
+      }
+      const auto pick = [&](const std::vector<MachineId>& from) {
+        return from[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(from.size()) - 1))];
+      };
+      const double u = rng.uniform01();
+      StreamEvent event;
+      if (u < 0.30 && !running.empty()) {
+        event = {StreamEvent::Kind::Finish, t, pick(running), 0};
+      } else if (u < 0.33 && up.size() > 1) {
+        event = {StreamEvent::Kind::Down, t, pick(up), 0};
+      } else if (u < 0.40 && !down.empty()) {
+        event = {StreamEvent::Kind::Up, t, pick(down), 0};
+      } else if (u < 0.50) {
+        event = {StreamEvent::Kind::Advance, t, 0, 0};
+      } else {
+        event = {StreamEvent::Kind::Arrive, t,
+                 static_cast<int>(rng.uniform_int(0, 1)),
+                 t + rng.uniform_int(1, 24)};
+        ++arrivals;
+      }
+      script.push_back(event);
+      const std::vector<Decision>& decisions =
+          apply_stream_event(probe.scheduler, event);
+      for (const Decision& decision : decisions) {
+        expired += decision.kind == DecisionKind::DropReactive ||
+                   decision.kind == DecisionKind::ExpireUnmapped;
+      }
+      log += test::render(decisions);
+      expect_nothing_due(probe.scheduler, step);
+    }
+
+    // Replay with a snapshot/restore into a fresh stack at a random event.
+    const auto split = static_cast<std::size_t>(
+        rng.uniform_int(1, static_cast<std::int64_t>(kEvents) - 1));
+    EXPECT_EQ(test::run_split(script, split, {{"mapper", {mapper}}}, make),
+              log)
+        << "restored after event " << split;
+  }
+  // The deadlines are tight enough that the reactive pass has work.
+  EXPECT_GT(expired * 4, arrivals);
+  EXPECT_LT(expired * 2, arrivals);
 }
 
 }  // namespace

@@ -14,12 +14,14 @@
 #include "online/stream_event.hpp"
 #include "sched/registry.hpp"
 #include "sched/round_robin.hpp"
+#include "serve_harness.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace taskdrop {
 namespace {
 
+using test::apply;
 using test::pet_of;
 using Kind = StreamEvent::Kind;
 
@@ -37,29 +39,14 @@ const SpecMap& echo() {
   return map;
 }
 
-/// Live-mode serve harness: 3 machines (types 0, 1, 0), pluggable mapper.
-struct ServeFixture {
-  PetMatrix pet = serve_pet();
-  std::unique_ptr<Mapper> mapper;
-  std::unique_ptr<Dropper> dropper;
-  OnlineScheduler scheduler;
-
+/// Live-mode serve stack: 3 machines (types 0, 1, 0), heuristic dropper,
+/// pluggable mapper.
+struct ServeFixture : test::ServeStack {
   explicit ServeFixture(const std::string& mapper_name,
-                        OnlineConfig config = {})
-      : mapper(make_mapper(mapper_name)),
-        dropper(make_dropper(DropperConfig::heuristic())),
-        scheduler(pet, {0, 1, 0}, *mapper, *dropper, config) {}
+                        const OnlineConfig& config = {})
+      : ServeStack(serve_pet(), {0, 1, 0}, mapper_name,
+                   DropperConfig::heuristic(), config) {}
 };
-
-/// Feeds one event through serve's step (every Start offer confirmed at
-/// once) and renders its decisions exactly as the CLI daemon logs them.
-std::string apply(OnlineScheduler& scheduler, const StreamEvent& event) {
-  std::ostringstream out;
-  for (const Decision& decision : apply_stream_event(scheduler, event)) {
-    out << decision << '\n';
-  }
-  return out.str();
-}
 
 /// Generates a valid event script by probing a scheduler as it goes: a mix
 /// of arrivals (both types, some with tight deadlines that expire), a
@@ -119,25 +106,13 @@ std::string run_full(const std::vector<StreamEvent>& script,
   return out;
 }
 
-/// Runs `script[0..split)`, snapshots, restores into an entirely fresh
-/// kernel stack (new mapper, new dropper, new scheduler), and finishes the
-/// script there — the kill-and-resume scenario.
 std::string run_split(const std::vector<StreamEvent>& script,
                       std::size_t split,
                       const std::string& mapper_name,
                       const OnlineConfig& config) {
-  ServeFixture first(mapper_name, config);
-  std::string out;
-  for (std::size_t i = 0; i < split; ++i) {
-    out += apply(first.scheduler, script[i]);
-  }
-  const std::string snapshot = snapshot_to_string(first.scheduler, echo());
-  ServeFixture second(mapper_name, config);
-  restore_from_string(second.scheduler, snapshot, echo());
-  for (std::size_t i = split; i < script.size(); ++i) {
-    out += apply(second.scheduler, script[i]);
-  }
-  return out;
+  return test::run_split(script, split, echo(), [&] {
+    return ServeFixture(mapper_name, config);
+  });
 }
 
 OnlineConfig short_queue_config() {
@@ -453,6 +428,43 @@ TEST(OnlineSnapshot, RestoreRejectsMalformedAndOutOfRangeIntegers) {
   for (const char* count : {"4611686018427387904", "9223372036854775807"}) {
     expect_rejected("tasks n=1\n", std::string("tasks n=") + count + "\n",
                     "snapshot: expected 'T', got 'machines'");
+  }
+
+  // A field narrower than 64 bits is range-checked before it is narrowed.
+  // The type and machine values wrap onto task 0's own type and machine,
+  // so a restore that narrowed first would take them without complaint.
+  const auto line_of = [&](const std::string& prefix) {
+    const std::size_t begin = snapshot.find("\n" + prefix) + 1;
+    return snapshot.substr(begin, snapshot.find('\n', begin) - begin);
+  };
+  const auto tokens_of = [](const std::string& line) {
+    std::istringstream in(line);
+    std::vector<std::string> tokens;
+    for (std::string token; in >> token;) tokens.push_back(token);
+    return tokens;
+  };
+  const auto with_token = [&](const std::string& line, std::size_t index,
+                              const std::string& value) {
+    std::vector<std::string> tokens = tokens_of(line);
+    tokens.at(index) = value;
+    std::string out = tokens[0];
+    for (std::size_t i = 1; i < tokens.size(); ++i) out += " " + tokens[i];
+    return out;
+  };
+  const std::string task0 = line_of("T 0 ");
+  const std::string machine0 = line_of("M 0 ");
+  ASSERT_EQ(tokens_of(task0).at(2), "0");
+  const std::string wrapped_machine =
+      std::to_string((1LL << 32) + std::stoll(tokens_of(task0).at(7)));
+  expect_rejected(task0, with_token(task0, 2, "4294967296"),
+                  "snapshot: task type 4294967296 out of range [0, 1]");
+  expect_rejected(task0, with_token(task0, 7, wrapped_machine),
+                  "snapshot: task machine " + wrapped_machine +
+                      " out of range [-1, 2]");
+  for (const char* token : {"4294967297", "-1"}) {
+    expect_rejected(machine0, with_token(machine0, 7, token),
+                    std::string("snapshot: run_token ") + token +
+                        " out of range [0, 4294967295]");
   }
 }
 
