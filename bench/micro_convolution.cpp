@@ -1,12 +1,14 @@
 // Micro benchmarks for the complexity claims of section IV-F, factor (B):
 // the cost of one convolution as a function of the number of impulses, for
 // both the plain and the deadline-truncated variants, plus the O(|tail|)
-// chance_if_appended fast path used by PAM.
+// chance_if_appended fast path used by PAM. The PET rows time the
+// section V-A recipe: one gamma/histogram cell, and a whole scenario.
 #include <benchmark/benchmark.h>
 
 #include "pet/pet_builder.hpp"
 #include "prob/convolution.hpp"
 #include "util/rng.hpp"
+#include "workload/scenario.hpp"
 
 namespace {
 
@@ -59,7 +61,19 @@ void BM_GammaPetCell(benchmark::State& state) {
     benchmark::DoNotOptimize(gamma_execution_pmf(rng, 125.0, 10.0, 500, 5));
   }
 }
-BENCHMARK(BM_GammaPetCell);
+BENCHMARK(BM_GammaPetCell)->Repetitions(5);
+
+void BM_MakeScenario(benchmark::State& state, ScenarioKind kind) {
+  // One whole PET build as a trial or a serve daemon pays for it at set-up:
+  // 96 cells for spec_hc, 16 for video.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(make_scenario(kind, 42));
+  }
+}
+BENCHMARK_CAPTURE(BM_MakeScenario, spec_hc, ScenarioKind::SpecHC)
+    ->Repetitions(5);
+BENCHMARK_CAPTURE(BM_MakeScenario, video, ScenarioKind::Video)
+    ->Repetitions(5);
 
 }  // namespace
 

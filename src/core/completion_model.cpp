@@ -636,32 +636,38 @@ CompletionModel::AppendedSlot& CompletionModel::appended_slot(
   slot.revision = chain_version_;
   slot.stamped = true;
   slot.view_ready = false;
+  slot.cells_ready = false;
   if (slot.incompatible) return slot;
   slot.stride = pred.size() > 1
                     ? pred.stride()
                     : (exec.size() > 1 ? exec.stride() : Tick{1});
   slot.offset = pred.min_time() + exec.min_time();
+  slot.pred = &pred;
+  slot.exec = &exec;
+  return slot;
+}
+
+void CompletionModel::prepare_cells(AppendedSlot& slot, TaskTypeId type) {
+  if (slot.cells_ready) return;
+  slot.cells_ready = true;
+  const Pmf& pred = *slot.pred;
+  const Pmf& exec = *slot.exec;
   const auto bins = static_cast<std::size_t>(
       (pred.max_time() + exec.max_time() - slot.offset) / slot.stride + 1);
   slot.value.resize(bins + 1);
   slot.known.assign(bins + 1, 0);
-  slot.pred = &pred;
-  slot.exec = &exec;
   // Left-fold prefixes of the saturated terms (see AppendedSlot): one
-  // O(|tail|) pass per restamp — the price of a single direct fold —
-  // after which every cell costs O(|exec|).
+  // O(|tail|) pass per stamp — the price of a single direct fold — after
+  // which every cell costs O(|exec|).
   const double exec_total = pet_->cdf(type, machine_->type).total_mass();
   slot.sat_prefix.resize(pred.size());
-  {
-    double acc = 0.0;
-    const double* p = pred.data();
-    for (std::size_t i = 0; i < pred.size(); ++i) {
-      // float-eq-ok: exact-zero sparse skip
-      if (p[i] != 0.0) acc += p[i] * exec_total;
-      slot.sat_prefix[i] = acc;
-    }
+  double acc = 0.0;
+  const double* p = pred.data();
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    // float-eq-ok: exact-zero sparse skip
+    if (p[i] != 0.0) acc += p[i] * exec_total;
+    slot.sat_prefix[i] = acc;
   }
-  return slot;
 }
 
 double CompletionModel::appended_cell(AppendedSlot& slot, TaskTypeId type,
@@ -704,6 +710,7 @@ double CompletionModel::chance_if_appended(TaskTypeId type, Tick deadline) {
   AppendedSlot& slot = appended_slot(type);
   if (slot.incompatible) return direct_chance_if_appended(type, deadline);
   if (deadline <= slot.offset) return 0.0;
+  prepare_cells(slot, type);
   // Snap the deadline up to its combined-lattice cell; F is constant (and
   // bit-identical to the direct fold) across the half-open cell interval.
   const auto cell = std::min<std::size_t>(
@@ -732,6 +739,7 @@ const PmfCdf& CompletionModel::appended_view(TaskTypeId type) {
       throw std::invalid_argument(
           "appended_view: tail/execution stride mismatch");
     }
+    prepare_cells(slot, type);
     auto& prefix =
         slot.view.rebuild_prefix(slot.offset, slot.stride,
                                  slot.value.size() - 1);
@@ -747,6 +755,7 @@ const PmfCdf& CompletionModel::appended_view(TaskTypeId type) {
         "appended_view: tail/execution stride mismatch");
   }
   if (!slot.view_ready) {
+    prepare_cells(slot, type);
     auto& prefix = slot.view.rebuild_prefix(slot.offset, slot.stride,
                                             slot.value.size() - 1);
     for (std::size_t i = 0; i < slot.value.size(); ++i) {

@@ -231,6 +231,11 @@ class CompletionModel {
   /// their running sums are the left-fold prefixes cached in `sat_prefix`
   /// and each cell only folds the O(|exec|) window of unsaturated terms on
   /// top of the matching prefix, reproducing the direct fold bit for bit.
+  ///
+  /// A restamp sets only the stamp, offset, stride, `pred` and `exec`:
+  /// many probes ask for a deadline at or below `offset` and read no cell.
+  /// `value`, `known` and `sat_prefix` are built on the first cell read
+  /// (prepare_cells).
   struct AppendedSlot {
     Tick offset = 0;
     Tick stride = 1;
@@ -239,6 +244,8 @@ class CompletionModel {
     /// sat_prefix[i] = left fold of p_0*E_total .. p_i*E_total over the
     /// tail PMF, where E_total is the execution CDF's total mass.
     std::vector<double> sat_prefix;
+    /// value, known and sat_prefix belong to the current stamp.
+    bool cells_ready = false;
     /// The cached tail and execution PMFs the cells fold over; stable for
     /// the lifetime of the stamp (invalidations restamp before reuse).
     const Pmf* pred = nullptr;
@@ -264,6 +271,9 @@ class CompletionModel {
   /// equality with the incrementally maintained completions_/chances_.
   void audit_verify_chain(std::size_t pos);
   AppendedSlot& appended_slot(TaskTypeId type);
+  /// Sizes the stamped slot's cell table and folds its saturated prefixes
+  /// (once per stamp); `slot` must be compatible.
+  void prepare_cells(AppendedSlot& slot, TaskTypeId type);
   double appended_cell(AppendedSlot& slot, TaskTypeId type, std::size_t cell);
   double direct_chance_if_appended(TaskTypeId type, Tick deadline);
   /// The memo slot of the window at `pos` for `depth` (a new depth clears

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "util/table.hpp"
 
 namespace taskdrop {
 
@@ -189,18 +193,39 @@ Pmf Pmf::scale_time(double factor) const {
     throw std::invalid_argument("Pmf::scale_time: factor must be > 0");
   }
   if (empty()) return Pmf();
+  // Factors below 1 merge source bins; from_impulses adds them in sorted
+  // order, which fixes their sum's bits.
   std::vector<std::pair<Tick, double>> impulses;
   impulses.reserve(size());
   for (std::size_t i = 0; i < probs_.size(); ++i) {
     if (probs_[i] == 0.0) continue;  // float-eq-ok: exact-zero sparse skip
     const double scaled = factor * static_cast<double>(time_at(i));
-    Tick bin = static_cast<Tick>(
-                   std::llround(scaled / static_cast<double>(stride_))) *
-               stride_;
-    if (bin < stride_) bin = stride_;
-    impulses.emplace_back(bin, probs_[i]);
+    impulses.emplace_back(
+        lattice_bin(scaled, stride_, "Pmf::scale_time: scaled time") * stride_,
+        probs_[i]);
   }
   return Pmf::from_impulses(std::move(impulses), stride_);
+}
+
+Tick lattice_bin(double time_ms, Tick stride, const char* what) {
+  if (!std::isfinite(time_ms)) {
+    throw std::invalid_argument(std::string(what) + " " +
+                                format_double(time_ms) + " is not finite");
+  }
+  const double bins = time_ms / static_cast<double>(stride);
+  if (bins < 0.5) return 1;  // llround would give <= 0: the clamp's bin
+  // llround is defined below 2^63, which is exact as a double; a bin at or
+  // past it stays 0 and is refused with every bin whose time overflows.
+  constexpr double kTickLimit = 9223372036854775808.0;
+  const Tick bin =
+      bins < kTickLimit ? static_cast<Tick>(std::llround(bins)) : 0;
+  if (bin == 0 || bin > std::numeric_limits<Tick>::max() / stride) {
+    throw std::invalid_argument(std::string(what) + " " +
+                                format_double(time_ms) +
+                                " ms is past the last tick at bin width " +
+                                std::to_string(stride));
+  }
+  return bin;
 }
 
 Tick Pmf::quantile(double p) const {

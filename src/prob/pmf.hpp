@@ -139,4 +139,12 @@ class Pmf {
   std::vector<double> probs_;
 };
 
+/// Rounds a duration in ms onto the lattice {i * stride}: i is the nearest
+/// bin (std::llround, halves away from zero), clamped to at least 1 since
+/// durations are strictly positive. Throws std::invalid_argument naming
+/// `what` and the value when the time is not finite or i * stride does
+/// not fit in a Tick; both are checked before rounding, because llround
+/// maps them to LLONG_MIN, which the clamp would turn into the first bin.
+Tick lattice_bin(double time_ms, Tick stride, const char* what);
+
 }  // namespace taskdrop

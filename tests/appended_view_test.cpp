@@ -6,6 +6,7 @@
 // after-mutation path (enqueue, drop, start, time advance).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/completion_model.hpp"
@@ -148,6 +149,72 @@ TEST(AppendedView, EmptyQueueTracksNow) {
   expect_probes_match(system, pet, 7, 80, 1, "now=7");
   system.set_now(8);
   expect_probes_match(system, pet, 8, 80, 1, "now=8");
+}
+
+TEST(AppendedView, LazyCellsAgreeAcrossInterleavedReadsAndRestamps) {
+  // A restamp builds no cells: a probe at or below the slot's offset reads
+  // none, and the first cell probe or view builds them. Interleave the
+  // three kinds of read across restamps, the empty-queue view included,
+  // and hold every value to the direct fold.
+  Rng rng(4242);
+  for (const Tick stride : {Tick{1}, Tick{3}}) {
+    const PetMatrix pet = random_pet(rng, 3, stride);
+    SystemState system(pet, {0}, /*queue_capacity=*/8, /*now=*/0);
+    CompletionModel& model = system.model(0);
+    const Machine& machine = system.machine(0);
+    Tick now = 0;
+    int empty_views = 0;
+    for (int step = 0; step < 150; ++step) {
+      const auto mutation = rng.uniform_int(0, 9);
+      if (mutation < 4 && machine.queue.size() < 8) {
+        system.enqueue(0, static_cast<TaskTypeId>(rng.uniform_int(0, 2)),
+                       now + stride * rng.uniform_int(2, 40));
+      } else if (mutation < 7 && !machine.queue.empty()) {
+        system.drop_queued_task(
+            0, static_cast<std::size_t>(rng.uniform_int(
+                   0, static_cast<Tick>(machine.queue.size()) - 1)));
+      } else if (mutation == 7) {
+        while (!machine.queue.empty()) system.drop_queued_task(0, 0);
+      } else {
+        now += stride * rng.uniform_int(0, 3);
+        system.set_now(now);
+      }
+      for (int read = 0; read < 6; ++read) {
+        const auto type = static_cast<TaskTypeId>(rng.uniform_int(0, 2));
+        const Pmf& exec = pet.pmf(type, 0);
+        const bool idle = machine.queue.empty();
+        const Pmf* tail =
+            idle ? nullptr : &model.completion(machine.queue.size() - 1);
+        const Tick offset = (idle ? now : tail->min_time()) + exec.min_time();
+        const Tick top =
+            (idle ? now : tail->max_time()) + exec.max_time() + 2 * stride;
+        const std::string at = "stride " + std::to_string(stride) +
+                               ", step " + std::to_string(step) + ", type " +
+                               std::to_string(type);
+        const auto kind = rng.uniform_int(0, 2);
+        if (kind == 2) {
+          const PmfCdf& view = model.appended_view(type);
+          if (idle) ++empty_views;
+          for (Tick d = offset - stride; d <= top; ++d) {
+            ASSERT_EQ(view.mass_before(d),
+                      reference_chance_if_appended(model, machine, pet, now,
+                                                   type, d))
+                << at << ", view at " << d;
+          }
+          continue;
+        }
+        // kind 0 asks at or below the offset (chance 0, no cell read);
+        // kind 1 reads a cell.
+        const Tick d = kind == 0 ? offset - stride * rng.uniform_int(0, 3)
+                                 : rng.uniform_int(offset + 1, top);
+        ASSERT_EQ(model.chance_if_appended(type, d),
+                  reference_chance_if_appended(model, machine, pet, now, type,
+                                               d))
+            << at << ", probe at " << d;
+      }
+    }
+    EXPECT_GT(empty_views, 0) << "stride " << stride;
+  }
 }
 
 TEST(AppendedView, ViewAgreesWithMaterialisedAppend) {

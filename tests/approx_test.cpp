@@ -1,6 +1,9 @@
 // Approximate-computing extension tests (section VI future work).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "core/approx_dropper.hpp"
 #include "exp/experiment.hpp"
 #include "online/system_state.hpp"
@@ -38,6 +41,24 @@ TEST(ScaleTime, PreservesMassForAnyFactor) {
   for (const double factor : {0.25, 0.5, 0.75, 1.0, 2.0}) {
     EXPECT_NEAR(pmf.scale_time(factor).total_mass(), 1.0, 1e-12) << factor;
   }
+}
+
+TEST(ScaleTime, RejectsTimesOffTheTickRange) {
+  // A scaled time past the last tick used to round to LLONG_MIN and clamp
+  // to one stride: every approximate PMF became a 5 ms point mass.
+  const Pmf pmf = pmf_of({{10, 0.2}, {15, 0.3}, {40, 0.5}}, 5);
+  try {
+    (void)pmf.scale_time(1e300);
+    ADD_FAILURE() << "scale_time(1e300) returned";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "Pmf::scale_time: scaled time 1e+301 ms is past the last "
+                 "tick at bin width 5");
+  }
+  EXPECT_THROW((void)pmf.scale_time(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW((void)scaled_pet(pet_of({{{{10, 1.0}}}}), 1e300),
+               std::invalid_argument);
 }
 
 TEST(ScaledPet, ScalesEveryCell) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "map_histogram.hpp"
 #include "pet/pet_builder.hpp"
 #include "pet/pet_matrix.hpp"
 #include "test_util.hpp"
+#include "workload/scenario.hpp"
 
 namespace taskdrop {
 namespace {
@@ -93,6 +98,54 @@ TEST(PetBuilder, DeterministicGivenSeed) {
   const PetMatrix a = build_pet_from_means(means, rng1);
   const PetMatrix b = build_pet_from_means(means, rng2);
   EXPECT_EQ(a.pmf(0, 0), b.pmf(0, 0));
+}
+
+/// build_pet_from_means as it was with the map histogram: the same scale
+/// and gamma draws from the same stream, binned by test::map_histogram.
+std::vector<std::vector<Pmf>> map_pet_from_means(
+    const std::vector<std::vector<double>>& means, Rng& rng,
+    const PetBuildOptions& options) {
+  std::vector<std::vector<Pmf>> cells;
+  for (const std::vector<double>& row : means) {
+    cells.emplace_back();
+    for (const double mean : row) {
+      const double scale = rng.uniform(options.scale_min, options.scale_max);
+      std::vector<double> draws;
+      for (int i = 0; i < options.samples_per_cell; ++i) {
+        draws.push_back(rng.gamma(mean / scale, scale));
+      }
+      cells.back().push_back(test::map_histogram(draws, options.bin_width));
+    }
+  }
+  return cells;
+}
+
+TEST(PetBuilder, ScenarioPetsMatchTheMapHistogramBitwise) {
+  // Every golden depends on these bits: make_scenario's PETs must equal,
+  // cell for cell, the PETs the map histogram built.
+  for (const ScenarioKind kind :
+       {ScenarioKind::SpecHC, ScenarioKind::Video, ScenarioKind::Homogeneous}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      const Scenario scenario = make_scenario(kind, seed);
+      Rng rng = Rng::derive(seed, 0x9e7);  // make_scenario's PET stream
+      const auto expected = map_pet_from_means(
+          scenario.profile.mean_execution_ms, rng, PetBuildOptions{});
+      ASSERT_EQ(scenario.pet.task_type_count(),
+                static_cast<int>(expected.size()));
+      for (TaskTypeId t = 0; t < scenario.pet.task_type_count(); ++t) {
+        const auto& row = expected[static_cast<std::size_t>(t)];
+        ASSERT_EQ(scenario.pet.machine_type_count(),
+                  static_cast<int>(row.size()));
+        for (MachineTypeId m = 0; m < scenario.pet.machine_type_count(); ++m) {
+          test::expect_pmf_bits_equal(
+              scenario.pet.pmf(t, m), row[static_cast<std::size_t>(m)],
+              std::string(to_string(kind)) + " seed " + std::to_string(seed) +
+                  " cell (" + std::to_string(t) + ", " + std::to_string(m) +
+                  ")");
+        }
+      }
+    }
+  }
 }
 
 TEST(PetBuilder, PaperRecipeDefaults) {
